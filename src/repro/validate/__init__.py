@@ -11,6 +11,9 @@ Three layers, each usable on its own:
   contracts after every simulated event, raising
   :class:`~repro.errors.InvariantViolation` the moment a state is illegal.
   Nothing is installed by default: an unmonitored run pays zero cost.
+  Installed, an event costs work in proportion to live state (resident
+  CTAs, unfinished pools, the device queue), never to run history: a
+  task pool is retired after its final check at completion.
 
 * **Differential oracles** (:mod:`.oracles`) — two independent executions
   that must agree: never-preempted temporal FLEP vs the raw

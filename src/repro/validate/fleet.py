@@ -204,10 +204,12 @@ class FleetMonitorBundle:
     hook list. Fault-aware: a crashed node's set is retired un-finalized
     (the backend died mid-flight; node-level conservation cannot hold on
     a corpse — the *fleet-level* monitor still accounts its requests),
-    and a rejoining node's rebuilt backend gets a fresh set. Usable as a
-    context manager, like a ``MonitorSet``: exiting without error
-    finalizes the surviving node sets (the fleet monitor's ``finalize``
-    is invoked by ``FleetSystem.run`` itself).
+    and a rejoining node's rebuilt backend gets a fresh set. Every node
+    set inherits ``full_drain`` as its ``require_complete``: after a
+    full drain each surviving node's pools must be fully committed.
+    Usable as a context manager, like a ``MonitorSet``: exiting without
+    error finalizes the surviving node sets (the fleet monitor's
+    ``finalize`` is invoked by ``FleetSystem.run`` itself).
     """
 
     def __init__(self, fleet, full_drain: bool = True):
@@ -215,8 +217,10 @@ class FleetMonitorBundle:
 
         self._install = install_monitors
         self.fleet = fleet
+        self.full_drain = full_drain
         self.node_sets: List[Optional[object]] = [
-            install_monitors(n.backend) for n in fleet.nodes
+            install_monitors(n.backend, require_complete=full_drain)
+            for n in fleet.nodes
         ]
         self.fleet_monitor = install_fleet_monitor(fleet, full_drain)
         self._fault_hook = _BundleFaultHook(self)
@@ -233,7 +237,7 @@ class FleetMonitorBundle:
     def watch_node(self, index: int) -> None:
         """Install a fresh monitor set on a rejoined node's backend."""
         self.node_sets[index] = self._install(
-            self.fleet.nodes[index].backend
+            self.fleet.nodes[index].backend, require_complete=self.full_drain
         )
 
     # ------------------------------------------------------------------

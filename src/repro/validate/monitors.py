@@ -8,6 +8,14 @@ so monitors compose with user tracing). Monitors are **zero-cost when
 not installed**: no hot path in the simulator, device or runtime knows
 this module exists.
 
+Installed, they are **O(live state) per event, never O(history)**: each
+check walks only what is live — resident CTAs (through the device
+queue's grids), unfinished task pools and invocations, the dispatcher's
+FIFO, the flat per-SM occupancy arrays — so always-on checking keeps a
+long run linear. A task pool gets a **final check when it completes**
+(``done == total``, ``outstanding == 0``, no queued grid drawing on it)
+and is then retired; end-of-run checks cover what is still live.
+
 The invariant catalogue:
 
 ================  =====================================================
@@ -44,7 +52,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import InvariantViolation, ValidationError
 from ..gpu.kernel import KernelMode
-from ..gpu.memory import should_yield
 from ..gpu.sim import Simulator
 from ..runtime.tracker import InvocationState
 
@@ -166,8 +173,28 @@ class ResourceBudgetMonitor(Monitor):
     def __init__(self, gpu, spec=None):
         self.gpu = gpu
         self.spec = spec if spec is not None else gpu.spec
+        self._residents = [sm.resident for sm in gpu.sms]
 
     def on_event(self, ev) -> None:
+        # C-level max/min over the device's flat occupancy arrays; the
+        # per-SM walk only runs to name the SM once something is wrong
+        spec = self.spec
+        bank = self.gpu.bank
+        threads, warps, regs, smem = (
+            bank.threads, bank.warps, bank.regs, bank.smem
+        )
+        if (
+            max(map(len, self._residents)) > spec.max_ctas_per_sm
+            or max(threads) > spec.max_threads_per_sm
+            or max(warps) > spec.max_warps_per_sm
+            or max(regs) > spec.registers_per_sm
+            or max(smem) > spec.shared_mem_per_sm
+            or min(min(threads), min(warps), min(regs), min(smem)) < 0
+        ):
+            self.check_every_sm()
+
+    def check_every_sm(self) -> None:
+        """Walk the SMs in id order and fail on the first bad one."""
         spec = self.spec
         for sm in self.gpu.sms:
             if len(sm.resident) > spec.max_ctas_per_sm:
@@ -208,12 +235,22 @@ class WorkConservationMonitor(Monitor):
     """Task conservation: a launched task is executed at least once and
     committed exactly once.
 
-    Per event, for every discovered pool: ``done + outstanding +
-    remaining == total``, all components non-negative, and ``done`` is
-    monotone non-decreasing (re-execution after preemption returns tasks
-    to ``remaining`` — it never double-commits). At finalize, every pool
+    Per event, for every live pool: ``done + outstanding + remaining ==
+    total``, all components non-negative, and ``done`` is monotone
+    non-decreasing (re-execution after preemption returns tasks to
+    ``remaining`` — it never double-commits). At finalize, every pool
     must be quiescent (``outstanding == 0``) and, when
     ``require_complete``, fully committed (``done == total``).
+
+    A pool is live from discovery until the event at which it is found
+    complete (``done == total``, ``outstanding == 0``) with no grid of
+    the device queue still drawing on it: that check is its final one,
+    and the pool is retired. Only a queued grid's contexts can touch a
+    pool again, and a grid that reaches the queue later re-discovers
+    it, so a retired pool cannot change unobserved. Discovery is
+    incremental — the device queue plus a cursor into the runtime's
+    invocation list — so an event costs work in proportion to live
+    pools and queued grids, never to everything the run has seen.
     """
 
     name = "work-conservation"
@@ -222,48 +259,76 @@ class WorkConservationMonitor(Monitor):
         self.gpu = gpu
         self.runtime = runtime
         self.require_complete = require_complete
-        #: id(pool) -> (pool, label, highest done seen)
-        self._pools: Dict[int, Tuple[object, str, int]] = {}
+        #: id(pool) -> [pool, label, highest done seen], live pools only
+        self._pools: Dict[int, list] = {}
+        self._invocations_seen = 0
 
     def track(self, pool, label: str = "") -> None:
         key = id(pool)
         if key not in self._pools:
-            self._pools[key] = (pool, label or repr(pool), pool.done)
+            self._pools[key] = [pool, label or repr(pool), pool.done]
 
     def _discover(self) -> None:
         if self.gpu is not None:
+            # a grid is enqueued by one event and completes in a later
+            # one, so it is queued at some check in between
             for grid in self.gpu._queue:
                 self.track(grid.pool, grid.kernel.name)
-            for grid in self.gpu.completed_grids:
-                self.track(grid.pool, grid.kernel.name)
-        if self.runtime is not None:
-            for inv in self.runtime.invocations:
-                self.track(inv.pool, f"inv#{inv.inv_id}:{inv.kspec.name}")
+        runtime = self.runtime
+        if runtime is not None:
+            invocations = runtime.invocations
+            if len(invocations) > self._invocations_seen:
+                for inv in invocations[self._invocations_seen:]:
+                    self.track(
+                        inv.pool, f"inv#{inv.inv_id}:{inv.kspec.name}"
+                    )
+                self._invocations_seen = len(invocations)
 
     def on_event(self, ev) -> None:
         self._discover()
-        for key, (pool, label, last_done) in self._pools.items():
-            if min(pool.done, pool.outstanding, pool.remaining) < 0:
+        finished = []
+        for key, entry in self._pools.items():
+            pool, label, last_done = entry
+            # each property syncs the pool's macro cohort: read once
+            done = pool.done
+            outstanding = pool.outstanding
+            remaining = pool.remaining
+            total = pool.total
+            if min(done, outstanding, remaining) < 0:
                 self.fail(
                     "task pool accounting went negative", pool=label,
-                    done=pool.done, outstanding=pool.outstanding,
-                    remaining=pool.remaining,
+                    done=done, outstanding=outstanding, remaining=remaining,
                 )
-            if pool.done + pool.outstanding + pool.remaining != pool.total:
+            if done + outstanding + remaining != total:
                 self.fail(
                     "task conservation broken", pool=label,
-                    done=pool.done, outstanding=pool.outstanding,
-                    remaining=pool.remaining, total=pool.total,
+                    done=done, outstanding=outstanding,
+                    remaining=remaining, total=total,
                 )
-            if pool.done < last_done:
+            if done < last_done:
                 self.fail(
                     "committed tasks decreased (double commit/rollback)",
-                    pool=label, done=pool.done, previously=last_done,
+                    pool=label, done=done, previously=last_done,
                 )
-            if pool.done > last_done:
-                self._pools[key] = (pool, label, pool.done)
+            if done > last_done:
+                entry[2] = done
+            if done == total and outstanding == 0:
+                finished.append(key)
+        if finished:
+            self._retire(finished)
+
+    def _retire(self, finished: List[int]) -> None:
+        """Drop complete pools no queued grid can still touch."""
+        drawn = (
+            {id(grid.pool) for grid in self.gpu._queue}
+            if self.gpu is not None else ()
+        )
+        for key in finished:
+            if key not in drawn:
+                del self._pools[key]
 
     def finalize(self, now: float) -> None:
+        # retired pools were complete and quiescent at their final check
         self._discover()
         for pool, label, _ in self._pools.values():
             if pool.outstanding != 0:
@@ -322,47 +387,52 @@ class SpatialPartitionMonitor(Monitor):
         #: ctx -> time by which it must have left its SM
         self._deadlines: Dict[object, float] = {}
 
-    def _demands(self, grid, sm_id: int, now: float) -> bool:
-        """Both the device-visible and host-side values demand a yield
-        (the host check avoids flagging the clear-in-flight window)."""
-        spatial = grid.kernel.supports_spatial
-        return should_yield(
-            sm_id, grid.flag.device_read(now), spatial
-        ) and should_yield(sm_id, grid.flag.last_written, spatial)
-
     def on_event(self, ev) -> None:
+        # Only a queued grid can have resident CTAs, and only a grid
+        # whose flag demands a yield both host-side and device-side
+        # (the host check skips the clear-in-flight window) has any to
+        # watch: walk those grids, not every SM's resident set.
         now = self.gpu.sim.now
+        deadlines = self._deadlines
         live = {}
-        for sm in self.gpu.sms:
-            for ctx in sm.resident:
-                grid = ctx.grid
-                if (
-                    grid.kernel.mode is not KernelMode.PERSISTENT
-                    or grid.flag is None
-                ):
-                    continue
-                if not self._demands(grid, sm.sm_id, now):
-                    continue
-                deadline = self._deadlines.get(ctx)
+        for grid in self.gpu._queue:
+            flag = grid.flag
+            if flag is None or grid.kernel.mode is not KernelMode.PERSISTENT:
+                continue
+            host = flag.last_written
+            if host <= 0:
+                continue
+            device = flag.device_read(now)
+            if device <= 0:
+                continue
+            contexts = grid.contexts
+            if grid.kernel.supports_spatial:
+                # %smid partition: only SMs below spa_P must yield
+                limit = min(host, device)
+                contexts = [c for c in contexts if c.sm.sm_id < limit]
+            for ctx in contexts:
+                deadline = deadlines.get(ctx)
                 if deadline is None:
-                    # one full poll period: L tasks (at this context's
-                    # jittered rate) + the reads around the boundary
-                    period = (
-                        ctx._amortize * ctx._per_task
-                        + 2.0 * ctx._poll_cost
-                        + self.gpu.spec.costs.preempt_signal_us
-                        + self.slack_us
-                    )
-                    deadline = now + period
+                    deadline = now + self.poll_period(ctx)
                 elif now > deadline + 1e-9:
                     self.fail(
                         "CTA overstayed on a yielding SM",
-                        kernel=grid.kernel.name, sm=sm.sm_id,
+                        kernel=grid.kernel.name, sm=ctx.sm.sm_id,
                         ctx=ctx.ctx_id, deadline=deadline, now=now,
-                        flag=grid.flag.last_written,
+                        flag=host,
                     )
                 live[ctx] = deadline
         self._deadlines = live
+
+    def poll_period(self, ctx) -> float:
+        """One full poll period: ``L`` tasks (at this context's jittered
+        rate) plus the reads around the boundary."""
+        return (
+            ctx._amortize * ctx._per_task
+            + 2.0 * ctx._poll_cost
+            + self.gpu.spec.costs.preempt_signal_us
+            + self.slack_us
+        )
 
     def finalize(self, now: float) -> None:
         for ctx, deadline in self._deadlines.items():
@@ -408,7 +478,8 @@ class HPFContractMonitor(Monitor):
         now = rt.sim.now
         on_gpu = {running.inv_id} | {g.inv_id for g in rt.guests}
         live = {}
-        for inv in rt.invocations:
+        # finished invocations are never WAITING: the live set suffices
+        for inv in rt._live.values():
             if (
                 inv.inv_id in on_gpu
                 or inv.record.state is not InvocationState.WAITING

@@ -126,6 +126,39 @@ class TestWorkConservation:
             monitor.finalize(0.0)
 
 
+class TestFleetBundle:
+    """Fleet node sets honour ``require_complete`` (the full drain)."""
+
+    @staticmethod
+    def _fleet_with_stuck_pool(suite, require_complete):
+        from repro.fleet import FleetConfig, FleetSystem
+        from repro.serving import Tenant
+
+        fleet = FleetSystem(
+            [Tenant("web", priority=1, slo_us=3_000.0)],
+            FleetConfig(node_modes=["flep-spatial"] * 2, oracle_model=True),
+            device=suite.device, suite=suite,
+        )
+        bundle = install_monitors(fleet, require_complete=require_complete)
+        conservation = next(
+            m for m in bundle.node_sets[0]
+            if isinstance(m, WorkConservationMonitor)
+        )
+        conservation.track(TaskPool(6), "never-run")
+        fleet.submit_at(0.0, "web", "SPMV", "trivial")
+        fleet.run()
+        return bundle
+
+    def test_full_drain_flags_a_never_completed_node_pool(self, suite):
+        bundle = self._fleet_with_stuck_pool(suite, require_complete=True)
+        with pytest.raises(InvariantViolation, match="work lost"):
+            bundle.finalize()
+
+    def test_bounded_window_does_not_demand_completion(self, suite):
+        bundle = self._fleet_with_stuck_pool(suite, require_complete=False)
+        bundle.finalize()
+
+
 class TestMonotonicTime:
     def test_normal_run_is_monotone(self, sim):
         MonitorSet(sim, [MonotonicTimeMonitor(sim)]).install()
