@@ -71,11 +71,10 @@ class MPSCoRun:
         suite: Optional[BenchmarkSuite] = None,
         seed: Optional[int] = None,
         with_jitter: bool = False,
-        queue: str = "heap",
     ):
         self.device = device or tesla_k40()
         self.suite = suite or standard_suite(self.device)
-        self.sim = Simulator(queue=queue)
+        self.sim = Simulator()
         self.gpu = SimulatedGPU(self.sim, self.device, seed=seed)
         prof = get_global_profiler()
         if prof is not None and prof.enabled:

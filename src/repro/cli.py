@@ -303,7 +303,6 @@ def _cmd_fleet(args) -> int:
                 steal_interval_us=args.steal_interval,
                 steal_threshold_us=args.steal_threshold,
                 faults=faults,
-                queue=args.queue,
             ),
         )
         bundle = install_monitors(fleet, require_complete=True)
@@ -337,7 +336,6 @@ def _cmd_fleet(args) -> int:
                 "duration_ms": args.duration,
                 "seed": args.seed,
                 "steal": not args.no_steal,
-                "queue": args.queue,
                 "faults": faults.describe() if faults else None,
                 "fault_seed": args.fault_seed,
             },
@@ -631,10 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_p.add_argument("--fault-seed", type=int, default=None,
                          help="derive a random (but reproducible) fault "
                               "plan from this seed instead of --faults")
-    fleet_p.add_argument("--queue", default="heap",
-                         choices=["heap", "calendar"],
-                         help="event-queue engine for every node's "
-                              "simulator (default heap)")
     fleet_p.add_argument("--json", action="store_true",
                          help="emit the flep-fleet/1 JSON rollup")
     fleet_p.set_defaults(fn=_cmd_fleet)

@@ -70,11 +70,10 @@ class FlepSystem:
         trace: bool = False,
         observability: Union[bool, Observability, None] = None,
         profiler: Union[bool, SimProfiler, None] = None,
-        queue: str = "heap",
     ):
         self.device = device or tesla_k40()
         self.suite = suite or standard_suite(self.device)
-        self.sim = Simulator(queue=queue)
+        self.sim = Simulator()
         self.gpu = SimulatedGPU(self.sim, self.device, seed=seed)
         self.timeline = None
         if trace:

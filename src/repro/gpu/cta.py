@@ -24,7 +24,8 @@ Performance note: the batch loop is the simulator's hottest path. All
 per-batch constants (task time, poll cost, amortizing factor, event
 labels) are frozen into plain attributes at context creation — kernel,
 cost model and task multiplier never change over a context's lifetime —
-and batch plans are memoized keyed on ``(batch, since_poll)``. The flag
+and re-plans of the in-flight batch (:func:`~repro.gpu.kernel.batch_plan`)
+are memoized keyed on ``(batch, since_poll)``. The flag
 fast path (:attr:`PinnedFlag._demanding`) lets ``replan`` skip the
 yield-poll search entirely while no host write demands a yield.
 """
@@ -39,7 +40,7 @@ from ..errors import SchedulingError, SimulationError
 from ..obs.profiler import NULL_PROFILER
 from ..obs.recorder import NULL_OBS
 from .events import Event, maybe_cancel
-from .kernel import KernelMode
+from .kernel import KernelMode, batch_plan
 from .memory import should_yield
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,7 +104,8 @@ class CTAContext:
         self._spatial = kernel.supports_spatial
         self._batch_label = f"{kernel.name}/ctx{ctx_id}/batch"
         self._yield_label = f"{kernel.name}/ctx{ctx_id}/yield"
-        #: memoized batch plans: (batch, since_poll) -> duration_us
+        #: memoized re-plans of the in-flight batch:
+        #: (batch, since_poll) -> (polls, duration_us)
         self._plan_cache = {}
 
         # current batch
@@ -137,28 +139,19 @@ class CTAContext:
         L = self._amortize
         return (L - self._since_poll) % L
 
-    def _polls_in_batch(self, batch: int) -> int:
-        """Number of flag polls performed while processing ``batch``
-        tasks, given the persistent offset."""
-        if not self._is_persistent or batch <= 0:
-            return 0
-        first = self._first_poll_index()
-        if first >= batch:
-            return 0
-        return 1 + (batch - 1 - first) // self._amortize
-
-    def _batch_duration(self, batch: int) -> float:
-        """Wall time of a ``batch``-task run from the current poll
-        offset; memoized — contexts re-plan the same ``(batch,
-        since_poll)`` pair many times over a kernel's lifetime."""
-        key = (batch, self._since_poll)
-        cached = self._plan_cache.get(key)
-        if cached is None:
-            cached = self._plan_cache[key] = (
-                self._polls_in_batch(batch) * self._poll_cost
-                + batch * self._per_task
+    def _plan(self, batch: int) -> tuple:
+        """``(polls, duration_us)`` of a ``batch``-task run from the
+        current poll offset; memoized — contexts re-plan the same
+        ``(batch, since_poll)`` pair many times over a kernel's
+        lifetime."""
+        since = self._since_poll
+        key = (batch, since)
+        plan = self._plan_cache.get(key)
+        if plan is None:
+            plan = self._plan_cache[key] = batch_plan(
+                since, batch, self._amortize, self._poll_cost, self._per_task
             )
-        return cached
+        return plan
 
     def _poll_read_start(self, m: int) -> float:
         """Time the m-th in-batch poll (m >= 0) begins reading the flag:
@@ -207,8 +200,7 @@ class CTAContext:
         # cohort — see repro.gpu.macro. Non-persistent chains qualify
         # too: no polls, no flag response, same guided claims.
         if (
-            sim.macro_events
-            and grid._macro is None
+            grid._macro is None
             and not sim.use_reference_loop
             and grid.try_macro(self, now)
         ):
@@ -220,23 +212,19 @@ class CTAContext:
             width = workers
         batch = grid._batch_plans.get((remaining, width))
         if batch is None:
-            batch = grid.next_batch_size(self)
+            batch = grid.next_batch_size()
         # claim inlined from TaskPool.take: the planner clamps batch to
         # [1, remaining], so the claim never truncates or goes negative
         pool._remaining = remaining - batch
         pool._outstanding += batch
         self._batch_start = now
         self._batch_size = batch
-        # duration inlined from _batch_duration (identical float-op
-        # order, so replan's recomputation lands on the same bit pattern)
-        per_task = self._per_task
-        if self._is_persistent:
-            L = self._amortize
-            first = (L - self._since_poll) % L
-            polls = 0 if first >= batch else 1 + (batch - 1 - first) // L
-            duration = polls * self._poll_cost + batch * per_task
-        else:
-            duration = batch * per_task
+        # a fresh claim rarely repeats a (batch, since_poll) pair, so the
+        # plan is computed directly; replan() memoizes through _plan
+        duration = batch_plan(
+            self._since_poll, batch, self._amortize, self._poll_cost,
+            self._per_task,
+        )[1]
         self._completion = sim.schedule_event(
             now + duration,
             self._on_batch_complete,
@@ -264,22 +252,18 @@ class CTAContext:
         pool._outstanding -= batch
         pool._done += batch
         if self._is_persistent:
-            since = self._since_poll
-            L = self._amortize
             obs = self._obs
             prof = self._prof
             if obs.enabled or prof.enabled:
                 # charged at batch granularity so the instrumented hot
-                # path stays O(batches), not O(tasks); polls inlined
-                # from _polls_in_batch
-                first = (L - since) % L
-                polls = 0 if first >= batch else 1 + (batch - 1 - first) // L
+                # path stays O(batches), not O(tasks)
+                polls = self._plan(batch)[0]
                 if obs.enabled:
                     obs.tasks_pulled(batch)
                     obs.flag_polled(polls)
                 if prof.enabled:
                     prof.on_batch(batch, polls)
-            self._since_poll = (since + batch) % L
+            self._since_poll = (self._since_poll + batch) % self._amortize
         self._batch_size = 0
         grid.notify_progress()
         self._begin_next_batch()
@@ -328,7 +312,7 @@ class CTAContext:
             maybe_cancel(self._yield_event)
             self._yield_event = None
             if self._completion is None or self._completion.cancelled:
-                tc = self._batch_start + self._batch_duration(self._batch_size)
+                tc = self._batch_start + self._plan(self._batch_size)[1]
                 now = grid.sim.clock._now
                 self._completion = grid.sim.schedule_event(
                     tc if tc > now else now,
@@ -361,7 +345,10 @@ class CTAContext:
         O(batch/L).
         """
         grid = self.grid
-        n_polls = self._polls_in_batch(self._batch_size)
+        n_polls = batch_plan(
+            self._since_poll, self._batch_size, self._amortize,
+            self._poll_cost, self._per_task,
+        )[0]
         if n_polls <= 0:
             return None
         # the m=0 poll is mid-batch unless it sits at task index 0
@@ -422,9 +409,9 @@ class CTAContext:
             # the polls performed up to (and including) the yielding poll
             polled = 1
             if self._batch_size:
-                polled += self._polls_in_batch(
+                polled += self._plan(
                     min(finished_in_batch, self._batch_size)
-                )
+                )[0]
             if obs.enabled:
                 obs.flag_polled(polled)
                 obs.tasks_pulled(finished_in_batch)

@@ -16,7 +16,6 @@ the unfinished tasks run again.
 from __future__ import annotations
 
 import enum
-import math
 import random
 from typing import Callable, List, Optional, Set
 
@@ -28,6 +27,7 @@ from .kernel import (
     KernelMode,
     LaunchConfig,
     TaskPool,
+    guided_batch,
 )
 from .macro import MacroCohort
 from .memory import PinnedFlag, should_yield
@@ -101,9 +101,10 @@ class Grid:
         self._terminal = False
         # Frozen hot-path constants: kernel mode, amortizing factor and
         # the expected steady-state width never change after launch, and
-        # the batch-size planner consults them for every batch.
+        # the batch-size planner consults them for every batch. Original
+        # kernels never poll, so their claims get no L-multiple clamp.
         self._persistent = kernel.mode is KernelMode.PERSISTENT
-        self._amortize_l = kernel.amortize_l
+        self._amortize_l = kernel.amortize_l if self._persistent else 1
         capacity = spec.num_sms * self.ctas_per_sm
         if self._persistent:
             self._parallel_width = max(1, min(capacity, config.grid_ctas))
@@ -210,8 +211,9 @@ class Grid:
         later contexts."""
         return self._parallel_width
 
-    def next_batch_size(self, ctx: CTAContext) -> int:
-        """Size of the next task batch for ``ctx`` (guided scheduling).
+    def next_batch_size(self) -> int:
+        """Size of the next task batch claimed from the pool (guided
+        scheduling, :func:`~repro.gpu.kernel.guided_batch`).
 
         The width is the larger of this grid's expected concurrency and
         the pool-wide live worker count: a shared pool may be drained by
@@ -227,30 +229,10 @@ class Grid:
             width = workers
         key = (remaining, width)
         size = self._batch_plans.get(key)
-        if size is not None:
-            return size
-        # guided self-scheduling, inlined from kernel.guided_batch
-        # (same math.ceil expression, so sizes are identical)
-        if remaining <= 0:
-            size = 0
-        else:
-            size = math.ceil(remaining / (2 * width))
-            if size < 1:
-                size = 1
-            if size > remaining:
-                size = remaining
-            if self._persistent:
-                # Persistent: batches stay multiples of L so poll
-                # boundaries are exact, except near the tail where
-                # sub-L batches are allowed — real CTAs pull one task
-                # at a time, so work distribution is task-granular even
-                # though polls are L-spaced.
-                L = self._amortize_l
-                if size > L:
-                    size = (size // L) * L
-                if size > remaining:
-                    size = remaining
-        self._batch_plans[key] = size
+        if size is None:
+            size = self._batch_plans[key] = guided_batch(
+                remaining, width, self._amortize_l
+            )
         return size
 
     def try_macro(self, trigger: CTAContext, now: float) -> bool:

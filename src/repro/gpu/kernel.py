@@ -18,7 +18,6 @@ contexts (:mod:`repro.gpu.cta`). For original kernels the pool simply
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -292,18 +291,49 @@ class TaskPool:
         )
 
 
-def guided_batch(remaining: int, contexts: int, minimum: int = 1) -> int:
+def guided_batch(remaining: int, contexts: int, amortize_l: int = 1) -> int:
     """Guided self-scheduling batch size.
 
-    Each context claims ``ceil(remaining / (2 * contexts))`` tasks (at
-    least ``minimum``), which converges to single-task granularity at the
-    tail. This keeps the event count at ``O(contexts * log(tasks))`` while
-    matching greedy hardware dispatch closely (DESIGN.md §4).
+    Each context claims ``ceil(remaining / (2 * contexts))`` tasks, which
+    converges to single-task granularity at the tail. This keeps the
+    event count at ``O(contexts * log(tasks))`` while matching greedy
+    hardware dispatch closely (DESIGN.md §4). A batch larger than
+    ``amortize_l`` is cut down to a multiple of it, so a persistent
+    context's poll boundaries stay L-spaced; tail batches of ``L`` tasks
+    or fewer stay task-granular, as real CTAs pull one task at a time.
+
+    This is the only implementation of the claim size: the per-batch
+    loop (:meth:`repro.gpu.grid.Grid.next_batch_size`) and the macro
+    replay (:mod:`repro.gpu.macro`) both call it (DESIGN.md §12).
     """
     if remaining <= 0:
         return 0
     if contexts <= 0:
         raise SimulationError("guided_batch needs at least one context")
-    size = math.ceil(remaining / (2 * contexts))
-    size = max(minimum, size)
-    return min(size, remaining)
+    # exact integer ceil; never 0 and never above ``remaining``
+    size = -(-remaining // (2 * contexts))
+    if size > amortize_l:
+        size -= size % amortize_l
+    return size
+
+
+def batch_plan(
+    since_poll: int, batch: int, amortize_l: int, poll_cost: float,
+    per_task: float,
+) -> tuple:
+    """``(polls, duration_us)`` of one CTA running ``batch`` tasks.
+
+    The CTA polls the flag once every ``amortize_l`` tasks counted across
+    batch boundaries; ``since_poll`` tasks have run since its last poll.
+    Each task costs ``per_task`` and each poll ``poll_cost``. An original
+    kernel passes ``amortize_l=1`` and ``poll_cost=0.0``, which makes the
+    duration exactly ``batch * per_task``; its poll count is not used.
+
+    This is the only implementation of the batch timing: claims in the
+    per-batch loop and the macro replay call it directly, and re-plans
+    read a per-context memo keyed on ``(batch, since_poll)``
+    (DESIGN.md §12).
+    """
+    first = (amortize_l - since_poll) % amortize_l
+    polls = 0 if first >= batch else 1 + (batch - 1 - first) // amortize_l
+    return polls, polls * poll_cost + batch * per_task

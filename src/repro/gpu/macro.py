@@ -25,12 +25,11 @@ Identity contract (DESIGN.md §15): kernel-level timelines, preemption
 points and completion orders stay bit-identical to the per-batch
 reference loop. Three rules make that hold:
 
-1. **Identical float-op order.** Claim sizes use the same memo table and
-   the same ``ceil(remaining / (2*width))`` expression as
-   :meth:`Grid.next_batch_size`; durations use the same
-   ``polls * poll_cost + batch * per_task`` expression (and share the
-   context's ``_plan_cache``); completion times are the same ``t + dur``
-   additions the reference loop performs.
+1. **One planner.** Claim sizes come from
+   :func:`~repro.gpu.kernel.guided_batch` and batch poll counts and
+   durations from :func:`~repro.gpu.kernel.batch_plan`, the same
+   functions the per-batch loop calls; completion times are the same
+   ``t + dur`` additions the reference loop performs.
 2. **Sync before observation.** The real pool/contexts lag behind the
    precomputed plan; any external read of pool state
    (:class:`~repro.gpu.kernel.TaskPool` properties) first applies every
@@ -49,10 +48,10 @@ reference loop. Three rules make that hold:
 from __future__ import annotations
 
 import heapq
-import math
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .events import maybe_cancel
+from .kernel import batch_plan, guided_batch
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cta import CTAContext
@@ -103,14 +102,14 @@ class MacroCohort:
         self._dissolved = False
         #: private replay heap of (time, order, ctx, state) pending
         #: completions; ``state`` is the context's mutable replay record
-        #: [since_poll, batch, 2*width, grid L, ctx L, poll_cost,
-        #: per_task, plan_cache] carried with the entry so the hot loop
-        #: never touches a dict. (time, order) is unique, so the heap
-        #: never compares the trailing fields.
+        #: [since_poll, batch, polls, width, L, poll_cost, per_task] for
+        #: its in-flight batch, carried with the entry so the hot loop
+        #: reads no context attributes. (time, order) is unique, so the
+        #: heap never compares the trailing fields.
         self._heap: List[tuple] = []
         self._v_rem = 0
         self._vseq = 0
-        #: claims allowed in the next replay burst (grows 4x per burst)
+        #: size of the latest continuation burst (grows 4x per burst)
         self._chunk = _CHUNK0
         #: pending continuation event while the replay is paused
         self._cont = None
@@ -137,41 +136,38 @@ class MacroCohort:
         # Mini-heap entries are (time, order, ctx, state). Absorbed
         # sibling events keep their real engine seq as the order key;
         # virtual pushes use a strictly larger counter — exactly how
-        # the engine would order events scheduled later.
+        # the engine would order events scheduled later. The trigger
+        # enters as a zero-task completion at ``now`` with order 0: it
+        # claims inside the current event, before any sibling event
+        # still pending at this instant (engine seqs start at 1).
         heap: List[tuple] = []
         absorbed = []
-        trig_state = None
         workers = pool._workers
         grids = cohort.grids
         for g in pool._grids:
             grids.append(g)
             # each grid claims with its own guided width (the larger of
-            # its expected concurrency and the pool-wide worker count —
-            # identical to Grid.next_batch_size), constant while the
-            # cohort lives: any join/leave dissolves it first
+            # its expected concurrency and the pool-wide worker count,
+            # as in Grid.next_batch_size), constant while the cohort
+            # lives: any join/leave dissolves it first
             width = g._parallel_width
             if workers > width:
                 width = workers
-            width2 = 2 * width
-            # L_grid == 0 marks a non-persistent grid: its guided plan
-            # has no L-multiple clamp (Grid.next_batch_size), its
-            # contexts never poll (L=1, poll_cost=0.0 make the duration
-            # math degenerate to batch * per_task, bit-identically) and
-            # its batches charge no observability counters
-            pers = g._persistent
-            L_grid = g._amortize_l if pers else 0
             for ctx in g.contexts:
+                # the context's L is also its grid's claim clamp (1 for
+                # original kernels, whose contexts never poll)
                 state = [
-                    ctx._since_poll, ctx._batch_size, width2, L_grid,
-                    ctx._amortize, ctx._poll_cost, ctx._per_task,
-                    ctx._plan_cache, pers,
+                    ctx._since_poll, 0, 0, width, ctx._amortize,
+                    ctx._poll_cost, ctx._per_task,
                 ]
                 if ctx is trigger:
-                    trig_state = state
+                    heap.append((now, 0, ctx, state))
                     continue
                 ev = ctx._completion
                 if ev is None or ctx._yield_event is not None:
                     return False
+                state[1] = ctx._batch_size
+                state[2] = ctx._plan(ctx._batch_size)[0]
                 heap.append((ev.time, ev.seq, ctx, state))
                 cur_complete[ctx] = ev.time
                 cohort._claim_order[ctx] = (0, ev.seq)
@@ -186,43 +182,8 @@ class MacroCohort:
         cohort._heap = heap
         cohort._v_rem = pool._remaining
         cohort._vseq = sim._seq  # larger than every absorbed seq
-
-        # the trigger claims immediately, inside the current event —
-        # any still-pending sibling event at this exact time has a
-        # larger seq (smaller ones would already have fired).
-        # Inlined from Grid.next_batch_size — identical math.
-        width2 = trig_state[2]
-        L_grid = trig_state[3]
-        v_rem = cohort._v_rem
-        b = math.ceil(v_rem / width2)
-        if b < 1:
-            b = 1
-        if b > v_rem:
-            b = v_rem
-        if L_grid and b > L_grid:
-            b = (b // L_grid) * L_grid
-        if b > v_rem:
-            b = v_rem
-        since = trigger._since_poll
-        dkey = (b, since)
-        cache = trigger._plan_cache
-        dur = cache.get(dkey)
-        if dur is None:
-            L = trigger._amortize
-            first = (L - since) % L
-            p = 0 if first >= b else 1 + (b - 1 - first) // L
-            dur = cache[dkey] = (
-                p * trigger._poll_cost + b * trigger._per_task
-            )
-        t_next = now + dur
-        cohort._steps.append((now, trigger, 0, 0, since, b, t_next))
-        cohort._v_rem = v_rem - b
-        trig_state[0] = since
-        trig_state[1] = b
-        cohort._vseq += 1
-        heapq.heappush(heap, (t_next, cohort._vseq, trigger, trig_state))
-
-        cohort._replay()
+        # the first burst covers the trigger's claim plus one chunk
+        cohort._replay(_CHUNK0 + 1)
         for g in grids:
             g._macro = cohort
         pool._cohort = cohort
@@ -231,8 +192,8 @@ class MacroCohort:
     # ------------------------------------------------------------------
     # chunked virtual replay
     # ------------------------------------------------------------------
-    def _replay(self) -> None:
-        """Fast-forward up to ``_chunk`` more claims on the private heap.
+    def _replay(self, budget: int) -> None:
+        """Fast-forward up to ``budget`` more claims on the private heap.
 
         The replay pauses (scheduling one real continuation event at the
         next virtual completion instant) rather than running the whole
@@ -247,13 +208,12 @@ class MacroCohort:
         steps = self._steps
         v_rem = self._v_rem
         vseq = self._vseq
-        budget = self._chunk
-        self._chunk = budget * 4
         self._cont = None
         push = heapq.heappush
         pop = heapq.heappop
-        ceil = math.ceil
         append = steps.append
+        guided = guided_batch
+        plan_of = batch_plan
 
         while heap:
             if budget <= 0 and v_rem > 0:
@@ -275,42 +235,20 @@ class MacroCohort:
                     t, self._make_final(ctx), ctx._batch_label
                 )
                 continue
-            since, done_b, width2, L_grid, L, poll_cost, per_task, \
-                cache, pers = st
-            if pers:
-                first = (L - since) % L
-                polls = (
-                    0 if first >= done_b else 1 + (done_b - 1 - first) // L
-                )
-                since = (since + done_b) % L
-            else:
-                # non-persistent: no polls to charge (marked for sync),
-                # since stays 0
-                polls = -1
-            # claim the next batch — inlined from Grid.next_batch_size,
-            # identical integer math with the claimer's own width
-            b = ceil(v_rem / width2)
-            if b < 1:
-                b = 1
-            if b > v_rem:
-                b = v_rem
-            if L_grid and b > L_grid:
-                b = (b // L_grid) * L_grid
-            if b > v_rem:
-                b = v_rem
-            # duration via the context's shared plan cache — identical
-            # float-op order to _begin_next_batch's inline computation
-            dkey = (b, since)
-            dur = cache.get(dkey)
-            if dur is None:
-                first = (L - since) % L
-                p = 0 if first >= b else 1 + (b - 1 - first) // L
-                dur = cache[dkey] = p * poll_cost + b * per_task
+            # complete the in-flight batch, then claim the next one with
+            # the shared planners. No plan memo here: replay keys rarely
+            # repeat, and keeping every plan alive adds garbage-collector
+            # work (DESIGN.md §15).
+            since, done_b, polls, width, L, poll_cost, per_task = st
+            since = (since + done_b) % L
+            b = guided(v_rem, width, L)
+            next_polls, dur = plan_of(since, b, L, poll_cost, per_task)
             t_next = t + dur
             append((t, ctx, done_b, polls, since, b, t_next))
             v_rem -= b
             st[0] = since
             st[1] = b
+            st[2] = next_polls
             vseq += 1
             push(heap, (t_next, vseq, ctx, st))
             budget -= 1
@@ -320,7 +258,8 @@ class MacroCohort:
 
     def _continue(self) -> None:
         if not self._dissolved:
-            self._replay()
+            self._chunk *= 4
+            self._replay(self._chunk)
 
     def _make_final(self, ctx: "CTAContext"):
         def fire() -> None:
@@ -350,7 +289,7 @@ class MacroCohort:
         # purely additive (TaskPool.finish/take, the Observability
         # counters, SimProfiler.on_batch), so charging the sums once is
         # exactly equal to the reference loop's per-batch charges.
-        # Steps with polls < 0 are non-persistent batches: the reference
+        # Batches of original (non-persistent) contexts: the reference
         # loop charges no obs/prof for those (and never moves their poll
         # offset), so they contribute to pool accounting only.
         sum_b = sum_done = collapsed = 0
@@ -365,7 +304,7 @@ class MacroCohort:
                 collapsed += 1
                 ctx.tasks_done += done_b
                 aprof = ctx._prof
-                if polls >= 0:
+                if ctx._is_persistent:
                     chg_done += done_b
                     chg_polls += polls
                     ctx._since_poll = post

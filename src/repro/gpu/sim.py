@@ -1,8 +1,7 @@
 """Discrete-event simulation engine.
 
-A thin, deterministic event loop over a binary heap (or, optionally, a
-bucketed calendar queue — see :mod:`repro.gpu.calendar`). The engine is
-the single owner of simulated time; all GPU/host components schedule
+A thin, deterministic event loop over one binary heap. The engine is the
+single owner of simulated time; all GPU/host components schedule
 callbacks through it. Determinism matters because the experiment harness
 averages repeated runs that differ only by seeded RNG noise.
 
@@ -60,10 +59,12 @@ class EventLoopStats:
 class Simulator:
     """Deterministic discrete-event engine (time unit: microseconds).
 
-    ``queue`` selects the event-queue structure: ``"heap"`` (default,
-    one binary heap) or ``"calendar"`` (bucketed calendar queue, for
-    high-fanout scenarios with many far-future events). Both produce
-    bit-identical schedules; only wall-clock behaviour differs.
+    Events live on one binary heap of ``(time, priority, seq, Event)``
+    entries. ``run()`` is the inlined fast loop; with
+    ``use_reference_loop`` set it becomes the step-by-step reference
+    loop, which also turns off macro-event fast-forward
+    (:mod:`repro.gpu.macro`) so persistent grids fire one event per
+    batch.
     """
 
     #: When True, ``run()`` uses the step-by-step reference loop instead
@@ -73,47 +74,19 @@ class Simulator:
     #: one-event-per-batch loop the golden traces are checked against.
     use_reference_loop = False
 
-    #: When True (default), persistent grids in steady state collapse
-    #: their batch chains into macro events (repro.gpu.macro): the
-    #: claim/complete interleaving is precomputed and only externally
-    #: visible transitions (context finish/yield, grid terminal) remain
-    #: real events. Kernel-level timelines stay bit-identical; raw
-    #: event counts legitimately shrink.
-    macro_events = True
-
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        max_events: int = 50_000_000,
-        queue: str = "heap",
-        bucket_us: Optional[float] = None,
-    ):
+    def __init__(self, start_time: float = 0.0, max_events: int = 50_000_000):
         self.clock = Clock(start_time)
         #: heap of ``(time, priority, seq, Event)`` entries. The seq is
-        #: unique per engine, so ties never reach the Event field and
-        #: every comparison is a C-level tuple compare — no Python
-        #: ``__lt__`` frames on the hot path.
+        #: unique per engine, so ties never reach the Event field (which
+        #: defines no ordering) and every comparison is a C-level tuple
+        #: compare.
         self._heap: List[tuple] = []
-        if queue == "heap":
-            if bucket_us is not None:
-                raise SimulationError("bucket_us only applies to queue='calendar'")
-            self._cal = None
-        elif queue == "calendar":
-            from .calendar import CalendarQueue
-
-            self._cal = (
-                CalendarQueue() if bucket_us is None else CalendarQueue(bucket_us)
-            )
-        else:
-            raise SimulationError(
-                f"unknown queue kind {queue!r} (have 'heap', 'calendar')"
-            )
         self._seq = 0
         #: cancelled-but-not-yet-popped events still in the queue; makes
         #: ``pending()`` O(1) (maintained by Event.cancel via ``_q``)
         self._dead = 0
         self.stats = EventLoopStats()
-        self._max_events = max_events
+        self.max_events = max_events
         self._running = False
         self._trace: Optional[Callable[[Event], None]] = None
         #: observability recorder (repro.obs); the shared null recorder
@@ -234,13 +207,9 @@ class Simulator:
         ev.label = label
         ev.cancelled = False
         ev._q = self
-        cal = self._cal
-        if cal is None:
-            heapq.heappush(self._heap, (time, priority, seq, ev))
-            depth = len(self._heap)
-        else:
-            cal.push(time, priority, seq, ev)
-            depth = len(cal)
+        heap = self._heap
+        heapq.heappush(heap, (time, priority, seq, ev))
+        depth = len(heap)
         st = self.stats
         st.scheduled += 1
         if depth > st.peak_pending:
@@ -260,15 +229,13 @@ class Simulator:
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events. O(1): queue
         length minus the incrementally-maintained dead-event count."""
-        cal = self._cal
-        depth = len(self._heap) if cal is None else len(cal)
-        return depth - self._dead
+        return len(self._heap) - self._dead
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is idle."""
         self._drop_cancelled_head()
-        ev = self._peek_ev()
-        return ev.time if ev is not None else None
+        heap = self._heap
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Execute the next live event. Returns ``False`` when idle.
@@ -278,9 +245,10 @@ class Simulator:
         single-stepping and differential tests.
         """
         self._drop_cancelled_head()
-        ev = self._pop_ev()
-        if ev is None:
+        heap = self._heap
+        if not heap:
             return False
+        ev = heapq.heappop(heap)[3]
         ev._q = None
         self.clock.advance_to(ev.time)
         st = self.stats
@@ -301,7 +269,7 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
-        if self._cal is not None or self.use_reference_loop:
+        if self.use_reference_loop:
             return self._run_reference(until)
         self._running = True
         # Fast path: locals for everything touched per iteration, one
@@ -359,9 +327,8 @@ class Simulator:
         return clock._now
 
     def _run_reference(self, until: Optional[float]) -> float:
-        """Step-by-step loop: one peek + one step per event. Used for the
-        calendar queue and as the differential reference for the fast
-        heap loop (``use_reference_loop``)."""
+        """Step-by-step loop: one peek + one step per event — the
+        differential reference for the fast loop (``use_reference_loop``)."""
         self._running = True
         try:
             while True:
@@ -386,34 +353,11 @@ class Simulator:
         if self._obs.enabled:
             self._obs.sim_event(ev.label)
         if self._prof.enabled:
-            depth = len(self._heap) if self._cal is None else len(self._cal)
-            self._prof.on_event(ev.label, depth)
-
-    def _peek_ev(self) -> Optional[Event]:
-        cal = self._cal
-        if cal is None:
-            heap = self._heap
-            return heap[0][3] if heap else None
-        return cal.peek()
-
-    def _pop_ev(self) -> Optional[Event]:
-        cal = self._cal
-        if cal is None:
-            heap = self._heap
-            return heapq.heappop(heap)[3] if heap else None
-        return cal.pop() if len(cal) else None
+            self._prof.on_event(ev.label, len(self._heap))
 
     def _live_events_sorted(self, n: int) -> List[Event]:
         """The ``n`` soonest live events (diagnostics only; O(pending))."""
-        if self._cal is None:
-            live = (en for en in self._heap if not en[3].cancelled)
-        else:
-            live = (
-                en
-                for bucket in (*self._cal._buckets.values(), self._cal._overflow)
-                for en in bucket
-                if not en[3].cancelled
-            )
+        live = (en for en in self._heap if not en[3].cancelled)
         return [en[3] for en in heapq.nsmallest(n, live)]
 
     def _exhaustion_diagnostics(self, current: Event) -> str:
@@ -436,21 +380,11 @@ class Simulator:
 
     def _drop_cancelled_head(self) -> None:
         st = self.stats
-        if self._cal is None:
-            heap = self._heap
-            while heap and heap[0][3].cancelled:
-                heapq.heappop(heap)[3]._q = None
-                self._dead -= 1
-                st.cancelled += 1
-        else:
-            cal = self._cal
-            while True:
-                ev = cal.peek()
-                if ev is None or not ev.cancelled:
-                    break
-                cal.pop()._q = None
-                self._dead -= 1
-                st.cancelled += 1
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)[3]._q = None
+            self._dead -= 1
+            st.cancelled += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

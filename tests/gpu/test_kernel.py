@@ -1,4 +1,4 @@
-"""TaskPool / LaunchConfig / TaskModel / guided_batch tests."""
+"""TaskPool / LaunchConfig / TaskModel / batch planner tests."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from repro.gpu.kernel import (
     ResourceUsage,
     TaskModel,
     TaskPool,
+    batch_plan,
     guided_batch,
 )
 
@@ -177,13 +178,11 @@ class TestGuidedBatch:
 
     def test_converges_to_minimum_at_tail(self):
         assert guided_batch(1, 100) == 1
-        assert guided_batch(3, 100, minimum=1) == 1
-
-    def test_respects_minimum(self):
-        assert guided_batch(1000, 100, minimum=7) >= 7
+        assert guided_batch(3, 100) == 1
 
     def test_never_exceeds_remaining(self):
-        assert guided_batch(5, 1, minimum=100) == 5
+        assert guided_batch(1, 1) == 1
+        assert guided_batch(5, 1, amortize_l=8) == 3
 
     def test_needs_contexts(self):
         with pytest.raises(SimulationError):
@@ -192,12 +191,28 @@ class TestGuidedBatch:
     @given(
         remaining=st.integers(1, 10**7),
         contexts=st.integers(1, 512),
-        minimum=st.integers(1, 500),
+        amortize_l=st.integers(1, 64),
     )
     @settings(max_examples=200, deadline=None)
-    def test_bounds_property(self, remaining, contexts, minimum):
-        size = guided_batch(remaining, contexts, minimum)
+    def test_bounds_property(self, remaining, contexts, amortize_l):
+        size = guided_batch(remaining, contexts, amortize_l)
         assert 1 <= size <= remaining
-        # never claims more than half-ish the pool per context (modulo
-        # the minimum floor)
-        assert size <= max(minimum, -(-remaining // (2 * contexts)))
+        # never claims more than its guided share of the pool
+        assert size <= -(-remaining // (2 * contexts))
+        # persistent clamp: batches above L are whole L-groups, so the
+        # context's poll boundaries stay L-spaced
+        if size > amortize_l:
+            assert size % amortize_l == 0
+
+
+class TestBatchPlan:
+    def test_polls_every_l_tasks_across_batches(self):
+        # 2 tasks since the last poll with L=4: polls after tasks 2 and 6
+        assert batch_plan(2, 7, 4, 0.5, 3.0) == (2, 2 * 0.5 + 7 * 3.0)
+        # a batch that ends before the next boundary does not poll
+        assert batch_plan(1, 2, 4, 0.5, 3.0) == (0, 6.0)
+
+    def test_original_kernel_duration_is_exact(self):
+        # L=1 and no poll cost: the duration is bit-for-bit batch * per_task
+        per_task = 0.1 * 3
+        assert batch_plan(0, 7, 1, 0.0, per_task)[1] == 7 * per_task

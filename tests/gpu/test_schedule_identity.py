@@ -7,8 +7,8 @@ Since the macro engine deliberately collapses ``batch`` events, identity
 is asserted one level up (DESIGN.md §15): **kernel-level timelines** —
 every CTA residency interval (SM id, start, end, kernel), their order,
 and the crc32 ``schedule_hash`` over them — plus the aggregate
-task-pull / flag-poll accounting, must be bit-identical between loops,
-across both event-queue engines, and under fleet fault plans.
+task-pull / flag-poll accounting, must be bit-identical between loops, also
+under fleet fault plans.
 """
 
 import pytest
@@ -35,30 +35,20 @@ from repro.obs.profiler import SimProfiler, profiled
 SCALE = BUDGETS["small"]
 
 
-def _run_golden(name: str, use_reference: bool, queue: str = "heap"):
+def _run_golden(name: str, use_reference: bool):
     """Run one bench scenario, returning its kernel-level golden trace:
     per-device interval tuples + schedule hashes, and the profiler's
     aggregate hot-loop accounting.
 
     Scenarios construct their simulators internally, so timelines are
-    captured with the process-global collection window and the queue
-    engine is forced by wrapping ``Simulator.__init__``.
+    captured with the process-global collection window.
     """
-    original_init = Simulator.__init__
-
-    def forcing_init(self, *args, **kwargs):
-        kwargs["queue"] = queue
-        kwargs.pop("bucket_us", None)
-        original_init(self, *args, **kwargs)
-
-    Simulator.__init__ = forcing_init
     Simulator.use_reference_loop = use_reference
     prof = SimProfiler()
     try:
         with collected_timelines() as timelines, profiled(prof):
             SCENARIOS[name].run(SCALE)
     finally:
-        Simulator.__init__ = original_init
         Simulator.use_reference_loop = False
     traces = [
         [
@@ -91,21 +81,7 @@ def test_macro_loop_replays_reference_timelines(name):
     assert fast_totals == ref_totals
 
 
-@pytest.mark.parametrize("name", ["fig8_mix", "fleet_sweep"])
-def test_macro_loop_identity_on_calendar_queue(name):
-    """The identity contract holds on the calendar queue engine too —
-    and heap vs calendar agree with each other."""
-    fast, fast_hashes, fast_totals = _run_golden(name, False, queue="calendar")
-    ref, ref_hashes, ref_totals = _run_golden(name, True, queue="calendar")
-    assert fast == ref
-    assert fast_hashes == ref_hashes
-    assert fast_totals == ref_totals
-    heap, heap_hashes, _ = _run_golden(name, False, queue="heap")
-    assert fast == heap
-    assert fast_hashes == heap_hashes
-
-
-def _run_faulted_fleet(use_reference: bool, queue: str):
+def _run_faulted_fleet(use_reference: bool):
     """A faulted fleet plan (crash + rejoin mid-run) under either loop."""
     from repro.fleet import FleetConfig, FleetSystem, parse_fault_spec
     from repro.serving import PoissonLoadGen, Tenant
@@ -121,7 +97,6 @@ def _run_faulted_fleet(use_reference: bool, queue: str):
                 FleetConfig(
                     node_modes=("flep-temporal", "flep-spatial"),
                     routing="deadline", oracle_model=True, seed=5,
-                    queue=queue,
                     faults=parse_fault_spec("crash@2000:n0,rejoin@5000:n0"),
                 ),
             )
@@ -143,12 +118,11 @@ def _run_faulted_fleet(use_reference: bool, queue: str):
     ], [tl.schedule_hash() for tl in timelines]
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
-def test_macro_loop_identity_under_fleet_faults(queue):
+def test_macro_loop_identity_under_fleet_faults():
     """Node loss and rejoin mid-run (re-routing, give-backs) cannot
     perturb the macro loop's timelines either."""
-    fast, fast_hashes = _run_faulted_fleet(False, queue)
-    ref, ref_hashes = _run_faulted_fleet(True, queue)
+    fast, fast_hashes = _run_faulted_fleet(False)
+    ref, ref_hashes = _run_faulted_fleet(True)
     assert any(fast), "faulted fleet recorded empty timelines"
     assert fast == ref
     assert fast_hashes == ref_hashes

@@ -159,6 +159,8 @@ class TestRun:
     def test_max_events_rejects_nonpositive(self, sim, bad):
         with pytest.raises(SimulationError, match="positive"):
             sim.max_events = bad
+        with pytest.raises(SimulationError, match="positive"):
+            Simulator(max_events=bad)
 
     def test_trace_hook_sees_events(self, sim):
         seen = []
