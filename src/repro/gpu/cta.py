@@ -198,12 +198,14 @@ class CTAContext:
         # worker accounted for) the whole remaining batch chain is
         # precomputed and this context's claim is absorbed into the
         # cohort — see repro.gpu.macro. Non-persistent chains qualify
-        # too: no polls, no flag response, same guided claims.
-        if (
-            grid._macro is None
-            and not sim.use_reference_loop
-            and grid.try_macro(self, now)
-        ):
+        # too: no polls, no flag response, same guided claims. A cohort
+        # still reachable here is open: this is a later placement of the
+        # dispatch burst that formed it (any other join dissolved it).
+        macro = grid._macro
+        if macro is not None:
+            macro.join(self, now)
+            return
+        if not sim.use_reference_loop and grid.try_macro(self, now):
             return
         # plan lookup inlined from Grid.next_batch_size (memo-hit path)
         width = grid._parallel_width

@@ -48,6 +48,9 @@ class SimulatedGPU:
         self._queue: List[Grid] = []
         self._dispatching = False
         self._dispatch_again = False
+        #: macro cohorts formed in the current dispatch burst; each stays
+        #: open for the burst's later placements (repro.gpu.macro)
+        self._opened: list = []
         self.launch_count = 0
         self.completed_grids: List[Grid] = []
         #: optional Timeline recorder (repro.gpu.trace); auto-attached
@@ -242,6 +245,12 @@ class SimulatedGPU:
                     progressed = True
         finally:
             self._dispatching = False
+        # the burst is over: no later placement can join its cohorts
+        opened = self._opened
+        if opened:
+            self._opened = []
+            for cohort in opened:
+                cohort.close()
 
     # -- grid callbacks --------------------------------------------------
     def on_context_released(self, ctx=None) -> None:

@@ -133,7 +133,9 @@ class Grid:
         pool = self.pool
         c = pool._cohort
         if c is not None:
-            c.sync(c.sim.clock._now)
+            now = c.sim.clock._now
+            if c._due <= now:
+                c.sync(now)
         if self._persistent:
             remaining = self.config.grid_ctas - self._placed
             # don't place more workers than tasks left to claim
@@ -238,29 +240,38 @@ class Grid:
     def try_macro(self, trigger: CTAContext, now: float) -> bool:
         """Absorb the pool's batch chain into a macro-event cohort if it
         is in steady state (see :mod:`repro.gpu.macro`): every grid
-        draining the pool persistent, every flag steady (no demanding
-        write in flight, and the visible value yields no live context),
-        and every pool worker accounted for by those grids. Returns True
-        iff ``trigger``'s claim was taken over by the cohort.
+        draining the pool of this grid's kernel mode, every flag steady
+        (no demanding write in flight, and the visible value yields no
+        live context), and every pool worker accounted for by those
+        grids. Returns True iff ``trigger``'s claim was taken over by the
+        cohort.
 
-        A partially-placed grid may absorb: a later CTA placement joins
-        the pool and dissolves the cohort *before* its first claim, so
-        the interleaving is unchanged. Inside a dispatch burst, though,
-        a partially-placed pool is rejected — each placement's start
-        would absorb the cohort only for the burst's next placement to
-        dissolve it, O(n²) churn for a plan that commits nothing. Once
-        every pool grid is fully placed no same-pool join can follow in
-        the burst, so the last placement's own start may absorb."""
-        device = self.device
-        dispatching = device is not None and device._dispatching
+        A partially-placed grid may absorb. At a dispatch burst's first
+        placement the cohort forms and stays open: the burst's later
+        placements join it (:meth:`MacroCohort.join`), and the replay
+        starts when the burst ends. A placement after the burst
+        dissolves the cohort before its first claim, so the
+        interleaving is unchanged. Inside a burst, though, a pool with
+        batches already in flight and a grid still partially placed is
+        rejected: a grid placed one CTA per burst would absorb and
+        dissolve its whole chain at every placement. Once every pool
+        grid is fully placed no later placement can follow, so that
+        placement's own start may absorb."""
         pool = self.pool
         if pool._cohort is not None:
             return False
+        device = self.device
+        churn = (
+            device is not None and device._dispatching and pool._workers > 1
+        )
         total = 0
         for g, cnt in pool._grids.items():
             if len(g.contexts) != cnt:
                 return False
-            if dispatching and g._placed < g.config.grid_ctas:
+            if churn and g._placed < g.config.grid_ctas:
+                return False
+            if g._persistent is not self._persistent:
+                # one cohort charges polls and pulls for all or none
                 return False
             total += cnt
             if not g._persistent:

@@ -180,7 +180,9 @@ class TaskPool:
     def _sync_cohort(self) -> None:
         c = self._cohort
         if c is not None:
-            c.sync(c.sim.clock._now)
+            now = c.sim.clock._now
+            if c._due <= now:
+                c.sync(now)
 
     # -- queries -------------------------------------------------------
     @property
@@ -226,11 +228,13 @@ class TaskPool:
         return self._workers
 
     def worker_joined(self, grid=None) -> None:
-        # a foreign worker (resume / top-up grid sharing this pool)
-        # invalidates a cohort's precomputed widths: fall back to
-        # per-batch eventing before the join is visible
+        # a later placement of the dispatch burst that formed the pool's
+        # cohort joins it; any other worker (a placement after the burst,
+        # a foreign resume / top-up grid, a join that would change a
+        # claim width) falls back to per-batch eventing before the join
+        # is visible
         c = self._cohort
-        if c is not None:
+        if c is not None and not c.admits(grid):
             c.dissolve(c.sim.clock._now)
         self._workers += 1
         if grid is not None:

@@ -303,6 +303,12 @@ class SimProfiler:
         return sum(s.stats.scheduled - base for s, _, base, _, _ in self._sims)
 
     @property
+    def events_cancelled(self) -> int:
+        """Cancelled events dropped from the heaps across attached
+        simulators (each counted when it reaches its heap's head)."""
+        return sum(s.stats.cancelled - base for s, _, _, base, _ in self._sims)
+
+    @property
     def peak_queue_depth(self) -> int:
         """Highest heap length seen by any attached simulator."""
         return max(
@@ -362,6 +368,7 @@ class SimProfiler:
         return {
             **self.engine_block(),
             "events_scheduled": self.events_scheduled,
+            "events_cancelled": self.events_cancelled,
             "events_by_kind": dict(
                 sorted(self.events_by_kind.items())
             ),
@@ -392,7 +399,8 @@ class SimProfiler:
             f"simulated time  {self.sim_elapsed_us / 1e6:.6f}s"
             f" ({self.sim_us_per_wall_s / 1e6:.3f} sim-s per wall-s)",
             f"queue depth     peak {self.peak_queue_depth}"
-            f" (scheduled {self.events_scheduled})",
+            f" (scheduled {self.events_scheduled},"
+            f" cancelled {self.events_cancelled})",
             f"hot loop        task_pulls={self.task_pulls}"
             f" flag_polls={self.flag_polls}"
             f" cta_admissions={self.cta_admissions}"

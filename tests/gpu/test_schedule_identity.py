@@ -214,6 +214,90 @@ def test_fast_forward_never_skips_a_flag_write(
     assert fast == ref
 
 
+# ---------------------------------------------------------------------------
+# property: cohorts formed at a burst's first placement replay the
+# reference loop, whatever the burst's shape
+# ---------------------------------------------------------------------------
+def _run_burst(use_reference, num_sms, slots, persistent, ctas, tasks,
+               blockers, sharers, gap):
+    """``blockers`` original CTAs with staggered task times occupy slots
+    first; then a grid of ``ctas`` CTAs and ``sharers`` more grids,
+    enqueued ``gap`` us apart, drain one pool. Returns everything
+    externally observable."""
+    Simulator.use_reference_loop = use_reference
+    prof = SimProfiler()
+    try:
+        with collected_timelines() as timelines, profiled(prof):
+            sim = Simulator()
+            gpu = SimulatedGPU(sim, small_test_gpu(
+                num_sms=num_sms, max_ctas_per_sm=slots,
+            ), seed=3)
+            res = ResourceUsage(threads_per_cta=64, regs_per_thread=8)
+            if blockers:
+                gpu.launch(
+                    KernelImage("B", res, TaskModel(30.0, 0.5)),
+                    LaunchConfig.original(blockers),
+                )
+            kernel = KernelImage(
+                "K", res, TaskModel(2.0, 0.3),
+                mode=(KernelMode.PERSISTENT if persistent
+                      else KernelMode.ORIGINAL),
+                amortize_l=3 if persistent else 1,
+                supports_spatial=persistent,
+            )
+            pool = TaskPool(tasks)
+            flag = gpu.new_flag() if persistent else None
+            for i in range(1 + sharers):
+                config = (
+                    LaunchConfig.persistent(tasks, ctas) if persistent
+                    else LaunchConfig.original(tasks)
+                )
+                gpu.launch(kernel, config, pool=pool, flag=flag,
+                           launch_overhead_us=5.0 + gap * i)
+            sim.run()
+    finally:
+        Simulator.use_reference_loop = False
+    (tl,) = timelines
+    return {
+        "intervals": [
+            (iv.sm_id, iv.start_us, iv.end_us, iv.kernel)
+            for iv in tl.intervals
+        ],
+        "hash": tl.schedule_hash(),
+        "pool": (pool.done, pool.outstanding, pool.remaining),
+        "task_pulls": prof.task_pulls,
+        "flag_polls": prof.flag_polls,
+        "end": sim.now,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_sms=st.integers(min_value=1, max_value=4),
+    slots=st.integers(min_value=1, max_value=3),
+    persistent=st.booleans(),
+    ctas_per_capacity=st.floats(min_value=0.25, max_value=2.0),
+    tasks=st.integers(min_value=1, max_value=600),
+    blockers=st.integers(min_value=0, max_value=6),
+    sharers=st.integers(min_value=0, max_value=2),
+    gap=st.sampled_from([0.0, 0.5, 40.0]),
+)
+def test_burst_shapes_replay_reference(
+    num_sms, slots, persistent, ctas_per_capacity, tasks, blockers, sharers,
+    gap,
+):
+    """Grids smaller or larger than the free slots, SMs pre-occupied by
+    a blocker that retires CTA by CTA, persistent and original kernels,
+    and pools shared by several grids, enqueued in one instant or
+    apart: timelines, schedule hashes and
+    accounting are the reference loop's."""
+    ctas = max(1, round(num_sms * slots * ctas_per_capacity))
+    args = (num_sms, slots, persistent, ctas, tasks, blockers, sharers, gap)
+    fast = _run_burst(False, *args)
+    ref = _run_burst(True, *args)
+    assert fast == ref
+
+
 def test_global_trace_uninstalls_cleanly():
     seen = []
     install_global_trace(seen.append)

@@ -108,6 +108,23 @@ class TestSharedCounter:
         assert prof.events_total == 1
         assert sim.stats.processed == 6
 
+    def test_cancelled_events_are_reported(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None, label="dropped").cancel()
+        sim.run()
+        prof = SimProfiler()
+        prof.attach(sim)
+        sim.prof = prof
+        for at in (2.0, 3.0):
+            sim.schedule_at(at, lambda: None, label="dropped").cancel()
+        sim.schedule_at(4.0, lambda: None, label="kept")
+        sim.run()
+        # baselined at attach, like the processed/scheduled counters
+        assert sim.stats.cancelled == 3
+        assert prof.events_cancelled == 2
+        assert prof.snapshot()["events_cancelled"] == 2
+        assert "cancelled 2" in prof.format_summary()
+
     def test_max_events_exhaustion_uses_the_same_counter(self):
         sim = Simulator(max_events=10)
         prof = SimProfiler()
