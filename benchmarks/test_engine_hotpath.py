@@ -110,7 +110,7 @@ def test_uninstrumented_loop_within_5pct_of_bare_heap(benchmark):
 
 def test_uninstrumented_engine_is_not_hooked():
     sim = Simulator()
-    assert not sim._hooked
+    assert not sim.bus.on_event
     sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.stats.processed == 1

@@ -1,23 +1,25 @@
-"""Observability overhead: the disabled (null-recorder) hot path.
+"""Observability overhead: the unsubscribed hot path.
 
-The instrumentation contract is that an unobserved system pays only a
-guard check (``if self.obs.enabled:``) per hook site. This bench times
-the guard directly, counts how often the hot sites actually fire in a
+The instrumentation contract is that an unobserved system pays only one
+guard per hook site: reading the hook's (empty) subscriber tuple off the
+simulator's bus (:mod:`repro.obs.bus`). This bench times that guard
+directly, counts how often the hot sites actually fire in a
 representative co-run, and asserts the extrapolated guard cost stays
 under 5 % of the co-run's wall time. A second bench records the cost of
 running fully observed, for the report.
 
-The same contract holds for the self-profiler (``prof.enabled`` guards,
-see :mod:`repro.obs.profiler`): uninstalled runs pay ~0 % (one attribute
-check per site), and an installed-but-live profiler's plain-int hooks
-stay under 5 % of the co-run's wall time.
+The same contract holds for the self-profiler (see
+:mod:`repro.obs.profiler`): unprofiled runs pay ~0 % (the same single
+guard per site), and a subscribed profiler's plain-int hooks, called
+through the bus as deployed, stay under 5 % of the co-run's wall time.
 """
 
 import time
 import timeit
 
 from repro.core.flep import FlepSystem
-from repro.obs import NULL_OBS, NULL_PROFILER, SimProfiler
+from repro.gpu.sim import Simulator
+from repro.obs import SimBus, SimProfiler
 from repro.runtime.engine import RuntimeConfig
 
 
@@ -33,14 +35,15 @@ def _run_pair(**kwargs):
 
 
 def _guard_cost_us() -> float:
-    """Measured cost of one ``obs.enabled`` guard check (µs)."""
+    """Measured cost of one site guard on an empty bus (µs): the hot
+    sites cache the bus and test the hook's subscriber tuple."""
 
     class HotObject:
-        obs = NULL_OBS
+        bus = SimBus(None)
 
     hot = HotObject()
     n = 200_000
-    total_s = timeit.timeit(lambda: hot.obs.enabled, number=n)
+    total_s = timeit.timeit(lambda: hot.bus.on_sm_admit, number=n)
     return total_s / n * 1e6
 
 
@@ -91,18 +94,6 @@ def test_observed_run_records_everything(benchmark):
 # ---------------------------------------------------------------------------
 # self-profiler (repro.obs.profiler) overhead
 # ---------------------------------------------------------------------------
-def _prof_guard_cost_us() -> float:
-    """Measured cost of one ``prof.enabled`` guard check (µs)."""
-
-    class HotObject:
-        prof = NULL_PROFILER
-
-    hot = HotObject()
-    n = 200_000
-    total_s = timeit.timeit(lambda: hot.prof.enabled, number=n)
-    return total_s / n * 1e6
-
-
 def _prof_sites_fired(prof) -> float:
     """Guard evaluations on the uninstalled path, counted from a
     profiled run of the same scenario: one per simulator event, one per
@@ -127,11 +118,12 @@ def test_uninstalled_profiler_overhead_is_negligible(benchmark):
     t0 = time.perf_counter()
     system = _run_pair()
     null_wall_us = (time.perf_counter() - t0) * 1e6
-    assert system.prof is NULL_PROFILER
+    assert system.prof is None
+    assert not system.sim.bus.on_event
 
     profiled_run = _run_pair(profiler=SimProfiler())
     sites = _prof_sites_fired(profiled_run.prof)
-    guard_total_us = sites * _prof_guard_cost_us()
+    guard_total_us = sites * _guard_cost_us()
 
     overhead = guard_total_us / null_wall_us
     assert overhead < 0.02, (
@@ -161,13 +153,17 @@ def test_installed_profiler_overhead_under_5_percent(benchmark):
     assert p.task_pulls > 0
     assert p.latency["temporal"].count == 1
 
-    hot = SimProfiler()
+    # time each hook as the bus calls it (bound to its simulator)
+    sim = Simulator()
+    sim.bus.subscribe(SimProfiler())
+    ev = sim.schedule_event(1.0, lambda: None, "k/ctx0/batch")
+    (on_event,) = sim.bus.on_event
+    (on_batch,) = sim.bus.on_batch
+    (on_sm_admit,) = sim.bus.on_sm_admit
     n = 100_000
-    ev_us = timeit.timeit(
-        lambda: hot.on_event("k/ctx0/batch", 5), number=n
-    ) / n * 1e6
-    batch_us = timeit.timeit(lambda: hot.on_batch(64, 1), number=n) / n * 1e6
-    sm_us = timeit.timeit(lambda: hot.on_sm_admit(3, 4), number=n) / n * 1e6
+    ev_us = timeit.timeit(lambda: on_event(ev), number=n) / n * 1e6
+    batch_us = timeit.timeit(lambda: on_batch(64, 1), number=n) / n * 1e6
+    sm_us = timeit.timeit(lambda: on_sm_admit(3, 4), number=n) / n * 1e6
 
     batches = p.events_by_kind.get("batch", 0)
     hook_total_us = (

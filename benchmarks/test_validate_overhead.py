@@ -1,9 +1,9 @@
 """Conformance-monitor overhead.
 
-The contract is that an unmonitored run pays *zero* cost: nothing hooks
-``Simulator.set_trace`` unless ``install_monitors`` is called, so the
-engine's per-event cost is the single ``if self._trace is not None``
-guard it always had. This bench verifies the uninstalled path stays
+The contract is that an unmonitored run pays *zero* cost: nothing
+subscribes to the simulator's bus unless ``install_monitors`` is called,
+so the engine's per-event cost is the single guard on the bus's (empty)
+event-hook tuple. This bench verifies the uninstalled path stays
 hook-free, times the guard directly, records the monitored run's cost
 for the report, and bounds what always-on monitors cost a fleet run."""
 
@@ -13,6 +13,7 @@ import timeit
 
 from repro.core.flep import FlepSystem
 from repro.fleet import FleetConfig, FleetSystem
+from repro.obs import SimBus
 from repro.runtime.engine import RuntimeConfig
 from repro.serving import PoissonLoadGen, Tenant
 from repro.validate import install_monitors
@@ -34,14 +35,10 @@ def _run_pair(monitored: bool = False):
 
 
 def _guard_cost_us() -> float:
-    """Measured cost of one ``_trace is not None`` check (µs)."""
-
-    class HotObject:
-        _trace = None
-
-    hot = HotObject()
+    """Measured cost of the event loop's guard on an empty bus (µs)."""
+    bus = SimBus(None)
     n = 200_000
-    total_s = timeit.timeit(lambda: hot._trace is not None, number=n)
+    total_s = timeit.timeit(lambda: bus.on_event, number=n)
     return total_s / n * 1e6
 
 
@@ -50,7 +47,7 @@ def test_uninstalled_monitors_leave_no_trace_hook(benchmark):
         _run_pair, rounds=3, iterations=1, warmup_rounds=1
     )
     # zero-cost contract: the engine never saw a hook
-    assert system.sim._trace is None
+    assert not system.sim.bus.on_event
 
     t0 = time.perf_counter()
     _run_pair()
@@ -79,7 +76,7 @@ def test_monitored_run_cost_is_bounded(benchmark):
         lambda: _run_pair(monitored=True),
         rounds=3, iterations=1, warmup_rounds=1,
     )
-    assert system.sim._trace is None  # uninstall restored the bare hook
+    assert not system.sim.bus.on_event  # uninstall left the bus bare
     t0 = time.perf_counter()
     _run_pair(monitored=True)
     monitored_s = time.perf_counter() - t0

@@ -15,7 +15,6 @@ from typing import Callable, Dict, List, Optional
 from ..errors import ExperimentError
 from ..gpu.device import GPUDeviceSpec, tesla_k40
 from ..gpu.gpu import SimulatedGPU
-from ..obs.profiler import get_global_profiler
 from ..gpu.grid import Grid
 from ..gpu.kernel import LaunchConfig
 from ..gpu.mps import MPSServer
@@ -76,11 +75,6 @@ class MPSCoRun:
         self.suite = suite or standard_suite(self.device)
         self.sim = Simulator()
         self.gpu = SimulatedGPU(self.sim, self.device, seed=seed)
-        prof = get_global_profiler()
-        if prof is not None and prof.enabled:
-            prof.attach(self.sim)
-            self.sim.prof = prof
-            self.gpu.prof = prof
         self.mps = MPSServer(self.gpu)
         self.with_jitter = with_jitter
         self._streams: Dict[str, object] = {}

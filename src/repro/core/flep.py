@@ -15,15 +15,15 @@ entry point downstream users (and all experiments) drive:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from ..errors import ExperimentError, RuntimeEngineError
 from ..gpu.device import GPUDeviceSpec, tesla_k40
 from ..gpu.gpu import SimulatedGPU
 from ..gpu.host import HostProgram
 from ..gpu.sim import Simulator
-from ..obs.profiler import NULL_PROFILER, SimProfiler, get_global_profiler
-from ..obs.recorder import NULL_OBS, Observability, get_global
+from ..obs.profiler import SimProfiler
+from ..obs.recorder import Observability, resolve_hub
 from ..runtime.engine import FlepRuntime, KernelInvocation, RuntimeConfig
 from ..workloads.benchmarks import BenchmarkSuite, standard_suite
 from .interception import InterceptedProcess
@@ -80,32 +80,22 @@ class FlepSystem:
             from ..gpu.trace import Timeline
 
             self.timeline = Timeline()
-            self.gpu.tracer = self.timeline
-        # Observability hub: an explicit instance wins; ``True`` builds a
-        # fresh hub on the simulator clock; the default (None/False) picks
-        # up a process-global hub when one is installed, else stays null.
-        if isinstance(observability, Observability):
-            self.obs = observability
-        elif observability:
-            self.obs = Observability(clock=lambda: self.sim.now)
+            self.sim.bus.subscribe(self.timeline)
+        # Instrumentation is whatever subscribes to the simulator's bus.
+        # An explicit hub/profiler (or ``True``: a fresh one) subscribes
+        # here; by default the system reports the ones the open global
+        # window (observed()/profiled()) subscribed, else None.
+        self.obs: Optional[Observability] = resolve_hub(
+            self.sim, observability
+        )
+        if profiler:
+            self.prof: Optional[SimProfiler] = (
+                profiler if isinstance(profiler, SimProfiler)
+                else SimProfiler()
+            )
+            self.sim.bus.subscribe(self.prof)
         else:
-            self.obs = get_global() or NULL_OBS
-        if self.obs.enabled:
-            self.obs.bind_clock(lambda: self.sim.now)
-            self.sim.obs = self.obs
-            self.gpu.obs = self.obs
-        # Self-profiler: same resolution order as the obs hub — explicit
-        # instance > ``True`` (fresh) > process-global > null.
-        if isinstance(profiler, SimProfiler):
-            self.prof = profiler if profiler.enabled else NULL_PROFILER
-        elif profiler:
-            self.prof = SimProfiler()
-        else:
-            self.prof = get_global_profiler() or NULL_PROFILER
-        if self.prof.enabled:
-            self.prof.attach(self.sim)
-            self.sim.prof = self.prof
-            self.gpu.prof = self.prof
+            self.prof = self.sim.bus.find(SimProfiler)
         if isinstance(policy, str):
             if policy not in POLICIES:
                 raise RuntimeEngineError(
@@ -114,8 +104,7 @@ class FlepSystem:
             policy = POLICIES[policy]()
         self.policy = policy
         self.runtime = FlepRuntime(
-            self.sim, self.gpu, self.suite, policy, config, obs=self.obs,
-            prof=self.prof,
+            self.sim, self.gpu, self.suite, policy, config
         )
         self.processes: List[InterceptedProcess] = []
 
@@ -164,8 +153,8 @@ class FlepSystem:
         self.sim.run(until=until)
         if self.timeline is not None:
             self.timeline.close_open(self.sim.now)
-        if self.obs.enabled:
-            self.obs.finalize()
+        if self.obs is not None:
+            self.obs.finalize(self.sim.now)
         return CoRunResult(
             invocations=list(self.runtime.invocations),
             makespan_us=self.sim.now,

@@ -44,7 +44,7 @@ def _run(mode: str) -> Dict:
     sim = Simulator()
     gpu = SimulatedGPU(sim, small_test_gpu(num_sms=2, max_ctas_per_sm=2))
     tracer = Timeline()
-    gpu.tracer = tracer
+    sim.bus.subscribe(tracer)
 
     k1 = _k("K1").transformed(amortize_l=1)
     flag = gpu.new_flag()

@@ -56,7 +56,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import FleetError
 from ..gpu.device import GPUDeviceSpec, device_from_spec, tesla_k40
-from ..obs.recorder import NULL_OBS, Observability, get_global
+from ..obs.bus import window
+from ..obs.recorder import Observability
 from ..serving.admission import TokenBucket
 from ..serving.loadgen import LoadGenerator, merge_traces
 from ..serving.slo import SLOTracker
@@ -238,13 +239,19 @@ class FleetSystem:
         self.config = config or FleetConfig()
         #: fleet time: the last control point every node was advanced to
         self._now = 0.0
+        self.obs: Optional[Observability]
         if isinstance(observability, Observability):
             self.obs = observability
         elif observability:
             self.obs = Observability(clock=lambda: self._now)
         else:
-            self.obs = get_global() or NULL_OBS
-        if self.obs.enabled:
+            # the fleet owns no simulator: its front-end metrics go to
+            # the innermost hub the open window subscribes to every node
+            self.obs = next(
+                (s for s in reversed(window()) if isinstance(s, Observability)),
+                None,
+            )
+        if self.obs is not None:
             self.obs.bind_clock(lambda: self._now)
         # The reference device + calibrated suite: routing and admission
         # budget every request against this one predictor, whatever
@@ -322,7 +329,7 @@ class FleetSystem:
         self.load_samples: List[Tuple[float, int, int, float]] = []
         self._traces: List[ArrivalTrace] = []
         self._ran = False
-        if self.obs.enabled:
+        if self.obs is not None:
             m = self.obs.metrics
             self._m_routed = m.counter(
                 "flep_fleet_routed_total",
@@ -446,7 +453,7 @@ class FleetSystem:
         for hook in self.hooks:
             hook.on_lost(req, -1)
             hook.on_resolve(req, -1)
-        if self.obs.enabled:
+        if self.obs is not None:
             self._m_lost.inc(node="none")
 
     def _route(self, arrival: Arrival) -> None:
@@ -483,7 +490,7 @@ class FleetSystem:
             return
         for hook in self.hooks:
             hook.on_route(req, idx)
-        if self.obs.enabled:
+        if self.obs is not None:
             self._m_routed.inc(node=str(idx))
         self.nodes[idx].enqueue(req)
 
@@ -502,7 +509,7 @@ class FleetSystem:
             self.reroutes.append((now, req.req_id, src, idx))
             for hook in self.hooks:
                 hook.on_reroute(req, src, idx)
-            if self.obs.enabled:
+            if self.obs is not None:
                 self._m_reroutes.inc(src=str(src), dst=str(idx))
             self.nodes[idx].accept_rerouted(req)
 
@@ -511,12 +518,12 @@ class FleetSystem:
         now = self._now
         node = self.nodes[action.node]
         self.fault_log.append((now, action.kind, action.node))
-        if self.obs.enabled:
+        if self.obs is not None:
             self._m_faults.inc(kind=action.kind, node=str(action.node))
         if action.kind == "crash":
             reclaimed, lost = node.crash(now)
             self.lost_ids.extend(r.req_id for r in lost)
-            if self.obs.enabled:
+            if self.obs is not None:
                 for _ in lost:
                     self._m_lost.inc(node=str(action.node))
             self._reroute(reclaimed, action.node)
@@ -524,7 +531,7 @@ class FleetSystem:
             node.begin_drain(now, action.event.deadline_us)
         elif action.kind == "drain-deadline":
             shed = node.finish_drain()
-            if self.obs.enabled:
+            if self.obs is not None:
                 for _ in shed:
                     self._m_drain_shed.inc(node=str(action.node))
         elif action.kind == "stall":
@@ -547,7 +554,7 @@ class FleetSystem:
             self.steals.append((now, req.req_id, src, dst))
             for hook in self.hooks:
                 hook.on_steal(req, src, dst)
-            if self.obs.enabled:
+            if self.obs is not None:
                 self._m_steals.inc(src=str(src), dst=str(dst))
 
         self.stealer.rebalance(self.nodes, on_steal=record)
@@ -555,7 +562,7 @@ class FleetSystem:
             self.load_samples.append(
                 (now, node.index, node.queue_len, node.load_us())
             )
-            if self.obs.enabled:
+            if self.obs is not None:
                 self._m_load.set(node.load_us(), node=str(node.index))
                 self._m_qlen.set(node.queue_len, node=str(node.index))
 
@@ -620,7 +627,7 @@ class FleetSystem:
         for hook in self.hooks:
             hook.finalize(self)
         report = build_report(self)
-        if self.obs.enabled:
+        if self.obs is not None:
             if report.fleet_attainment is not None:
                 self._m_attain.set(report.fleet_attainment)
             self.obs.finalize()

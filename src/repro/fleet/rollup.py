@@ -278,7 +278,7 @@ def build_report(fleet) -> FleetReport:
                         inv.record.preemptions * rt.preemption_overhead_us(inv)
                     )
         report.nodes.append(row)
-    if fleet.obs.enabled:
+    if fleet.obs is not None:
         export_to_tracer(fleet, logs)
     return report
 

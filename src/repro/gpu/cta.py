@@ -37,8 +37,6 @@ import math
 from typing import Optional, TYPE_CHECKING
 
 from ..errors import SchedulingError, SimulationError
-from ..obs.profiler import NULL_PROFILER
-from ..obs.recorder import NULL_OBS
 from .events import Event, maybe_cancel
 from .kernel import KernelMode, batch_plan
 from .memory import should_yield
@@ -63,7 +61,7 @@ class CTAContext:
 
     __slots__ = (
         "grid", "ctx_id", "sm", "state", "tasks_done", "started_at",
-        "ended_at", "_obs", "_prof", "task_mult", "_is_persistent",
+        "ended_at", "_bus", "task_mult", "_is_persistent",
         "_task_time", "_per_task", "_poll_cost", "_amortize", "_spatial",
         "_batch_label", "_yield_label", "_plan_cache", "_batch_start",
         "_batch_size", "_completion", "_yield_event", "_started",
@@ -78,13 +76,8 @@ class CTAContext:
         self.tasks_done = 0
         self.started_at = grid.sim.now
         self.ended_at: Optional[float] = None
-        # Instrumentation handles, cached as plain attributes: the batch
-        # loop is the simulator's hottest path and must not pay property
-        # getters per batch. Hubs/profilers are installed on the device
-        # before launch, so context-creation-time capture is safe.
-        device = grid.device
-        self._obs = device.obs if device is not None else NULL_OBS
-        self._prof = device.prof if device is not None else NULL_PROFILER
+        # the simulator's bus, cached: the batch loop is the hottest path
+        self._bus = grid.sim.bus
         # Per-batch constants, frozen once (kernel/cost model/multiplier
         # are immutable for the context's lifetime).
         kernel = grid.kernel
@@ -254,17 +247,13 @@ class CTAContext:
         pool._outstanding -= batch
         pool._done += batch
         if self._is_persistent:
-            obs = self._obs
-            prof = self._prof
-            if obs.enabled or prof.enabled:
+            hooks = self._bus.on_batch
+            if hooks:
                 # charged at batch granularity so the instrumented hot
                 # path stays O(batches), not O(tasks)
                 polls = self._plan(batch)[0]
-                if obs.enabled:
-                    obs.tasks_pulled(batch)
-                    obs.flag_polled(polls)
-                if prof.enabled:
-                    prof.on_batch(batch, polls)
+                for fn in hooks:
+                    fn(batch, polls)
             self._since_poll = (self._since_poll + batch) % self._amortize
         self._batch_size = 0
         grid.notify_progress()
@@ -405,20 +394,16 @@ class CTAContext:
             return
         self._yield_event = None
         pool = self.grid.pool
-        obs = self._obs
-        prof = self._prof
-        if obs.enabled or prof.enabled:
+        hooks = self._bus.on_batch
+        if hooks:
             # the polls performed up to (and including) the yielding poll
             polled = 1
             if self._batch_size:
                 polled += self._plan(
                     min(finished_in_batch, self._batch_size)
                 )[0]
-            if obs.enabled:
-                obs.flag_polled(polled)
-                obs.tasks_pulled(finished_in_batch)
-            if prof.enabled:
-                prof.on_batch(finished_in_batch, polled)
+            for fn in hooks:
+                fn(finished_in_batch, polled)
         if self._batch_size:
             if finished_in_batch > self._batch_size:
                 raise SimulationError("yield finished more tasks than batch")

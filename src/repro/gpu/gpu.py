@@ -14,9 +14,6 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional
 
-from ..errors import SchedulingError
-from ..obs.profiler import NULL_PROFILER, SimProfiler
-from ..obs.recorder import NULL_OBS, Observability
 from .device import GPUDeviceSpec, tesla_k40
 from .grid import Grid, GridState
 from .kernel import KernelImage, LaunchConfig, TaskPool
@@ -36,12 +33,15 @@ class SimulatedGPU:
         seed: Optional[int] = None,
     ):
         self.sim = sim
+        #: the simulator's instrumentation bus, cached for the hot sites
+        self.bus = sim.bus
         self.spec = spec if spec is not None else tesla_k40()
         #: flat array-of-int occupancy, one entry per SM — what the
         #: admission scan walks (repro.gpu.sm.SMBank)
         self.bank = SMBank(self.spec, self.spec.num_sms)
         self.sms: List[SM] = [
-            SM(i, self.spec, self.bank) for i in range(self.spec.num_sms)
+            SM(i, self.spec, self.bank, self.bus)
+            for i in range(self.spec.num_sms)
         ]
         self.memory = DeviceMemory(self.spec.device_memory_bytes)
         self.rng = random.Random(seed) if seed is not None else None
@@ -53,36 +53,19 @@ class SimulatedGPU:
         self._opened: list = []
         self.launch_count = 0
         self.completed_grids: List[Grid] = []
-        #: optional Timeline recorder (repro.gpu.trace); auto-attached
-        #: inside a collected_timelines() window (golden-trace tests)
-        self.tracer = _maybe_collect_timeline()
+        # a collected_timelines() window (golden-trace tests) subscribes
+        # a fresh Timeline recorder (repro.gpu.trace) to every device
+        _maybe_collect_timeline(sim)
         #: always-on O(1)-memory schedule digest (identity contract)
         self.sched = ScheduleHash()
         _maybe_collect_sched(self.sched)
-        self._obs: Observability = NULL_OBS
-        self._prof: SimProfiler = NULL_PROFILER
 
-    @property
-    def obs(self) -> Observability:
-        """Observability recorder; assigning one propagates to the SMs."""
-        return self._obs
+    def _subscribe_tracer(self, tracer) -> None:
+        self.bus.subscribe(tracer)
 
-    @obs.setter
-    def obs(self, hub: Observability) -> None:
-        self._obs = hub
-        for sm in self.sms:
-            sm.obs = hub
-
-    @property
-    def prof(self) -> SimProfiler:
-        """Self-profiler; assigning one propagates to the SMs."""
-        return self._prof
-
-    @prof.setter
-    def prof(self, prof: SimProfiler) -> None:
-        self._prof = prof
-        for sm in self.sms:
-            sm.prof = prof
+    #: Write-only: assigning a device tracer (an object with
+    #: ``context_placed``/``context_retired``) subscribes it to the bus.
+    tracer = property(fset=_subscribe_tracer)
 
     # ------------------------------------------------------------------
     # public API
@@ -123,8 +106,10 @@ class SimulatedGPU:
         )
         grid.device = self
         self.launch_count += 1
-        if self._obs.enabled:
-            self._obs.kernel_launched(kernel.name)
+        hooks = self.bus.on_launch
+        if hooks:
+            for fn in hooks:
+                fn(kernel.name)
         overhead = (
             self.spec.costs.kernel_launch_us
             if launch_overhead_us is None
@@ -158,8 +143,10 @@ class SimulatedGPU:
         if grid.is_terminal:
             return
         self._queue.append(grid)
-        if self._obs.enabled:
-            self._obs.hw_queue_depth(len(self._queue))
+        hooks = self.bus.on_hw_queue
+        if hooks:
+            for fn in hooks:
+                fn(len(self._queue))
         self._dispatch()
 
     def _pick_sm(self, grid: Grid) -> Optional[SM]:
@@ -210,6 +197,7 @@ class SimulatedGPU:
         try:
             progressed = True
             queue = self._queue
+            bus = self.bus
             while progressed:
                 progressed = False
                 self._dispatch_again = False
@@ -229,8 +217,10 @@ class SimulatedGPU:
                             break
                         ctx = grid.place_context(sm)
                         sm.admit_fp(ctx, *fp)
-                        if self.tracer is not None:
-                            self.tracer.context_placed(ctx, grid)
+                        hooks = bus.context_placed
+                        if hooks:
+                            for fn in hooks:
+                                fn(ctx, grid)
                         ctx.start()
                         progressed = True
                         if grid._terminal:
@@ -259,15 +249,19 @@ class SimulatedGPU:
             self.sched.fold(
                 ctx.grid.kernel.name, ctx.sm.sm_id, ctx.started_at, now
             )
-            if self.tracer is not None:
-                self.tracer.context_retired(ctx, now)
+            hooks = self.bus.context_retired
+            if hooks:
+                for fn in hooks:
+                    fn(ctx, now)
         self._dispatch()
 
     def on_grid_terminal(self, grid: Grid) -> None:
         if grid in self._queue:
             self._queue.remove(grid)
-            if self._obs.enabled:
-                self._obs.hw_queue_depth(len(self._queue))
+            hooks = self.bus.on_hw_queue
+            if hooks:
+                for fn in hooks:
+                    fn(len(self._queue))
         if grid.state is GridState.COMPLETE:
             self.completed_grids.append(grid)
         self._dispatch()

@@ -87,7 +87,7 @@ class MacroCohort:
     case once each flag is steady."""
 
     __slots__ = (
-        "grids", "pool", "sim", "_obs", "_prof", "_charged",
+        "grids", "pool", "sim", "_bus", "_charged",
         "_wcap", "_steps", "_idx", "_due", "_absorbed", "_members",
         "_open", "_dissolved", "_heap", "_v_rem", "_vseq", "_chunk",
         "_cont",
@@ -98,9 +98,8 @@ class MacroCohort:
         self.grids: List["Grid"] = list(grid.pool._grids)
         self.pool = grid.pool
         self.sim = grid.sim
-        self._obs = trigger._obs
-        self._prof = trigger._prof
-        #: the reference loop charges obs/profiler pulls and polls for
+        self._bus = trigger._bus
+        #: the reference loop charges on_batch pulls and polls for
         #: persistent batches only (a cohort never mixes kernel modes)
         self._charged = trigger._is_persistent
         #: a join keeps every grid's claim width only while the pool's
@@ -369,9 +368,9 @@ class MacroCohort:
         # context field
         k = bisect_left(steps, (math.nextafter(now, _INF),), i)
         # Charge the difference of the running totals at steps k and i:
-        # every counter is purely additive (TaskPool.finish/take, the
-        # Observability counters, SimProfiler.on_batch), so one charge of
-        # the sums equals the reference loop's per-batch charges.
+        # every counter is purely additive (TaskPool.finish/take, every
+        # on_batch subscriber), so one charge of the sums equals the
+        # reference loop's per-batch charges.
         _, _, _, _, _, rem, done, polls = steps[k - 1]
         if i:
             _, _, _, _, _, _, done0, polls0 = steps[i - 1]
@@ -384,18 +383,18 @@ class MacroCohort:
         pool._done += done
         # conservation: done + outstanding + remaining == total
         pool._outstanding = pool.total - rem - pool._done
-        prof = self._prof
+        bus = self._bus
         if self._charged and (done or polls):
-            obs = self._obs
-            if obs.enabled:
-                obs.tasks_pulled(done)
-                obs.flag_polled(polls)
-            if prof.enabled:
-                prof.on_batch(done, polls)
+            hooks = bus.on_batch
+            if hooks:
+                for fn in hooks:
+                    fn(done, polls)
         # join commits each trigger's claim itself, so every step
         # committed here retires one batch
-        if prof.enabled:
-            prof.on_macro_collapse(k - i)
+        hooks = bus.on_macro_collapse
+        if hooks:
+            for fn in hooks:
+                fn(k - i)
 
     # ------------------------------------------------------------------
     # dissolution

@@ -8,10 +8,10 @@ averages repeated runs that differ only by seeded RNG noise.
 The run loop is the hottest code in the repository, so it is written in
 a deliberately low-level style (see DESIGN.md §12 for the invariants it
 must preserve): one head inspection per iteration, instrumentation
-behind a single ``_hooked`` flag, and direct clock/counter stores
-instead of property and method calls. The semantically-equivalent
-reference loop (``use_reference_loop``) is kept for differential
-testing against the fast path.
+behind one guard on the bus's event hooks (:mod:`repro.obs.bus`), and
+direct clock/counter stores instead of property and method calls. The
+semantically-equivalent reference loop (``use_reference_loop``) is kept
+for differential testing against the fast path.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import heapq
 from typing import Any, Callable, List, Optional
 
 from ..errors import SimulationError
-from ..obs.profiler import NULL_PROFILER
-from ..obs.recorder import NULL_OBS
+from ..obs.bus import SimBus
 from .clock import Clock
 from .events import Event, EventHandle
 
@@ -88,51 +87,10 @@ class Simulator:
         self.stats = EventLoopStats()
         self.max_events = max_events
         self._running = False
-        self._trace: Optional[Callable[[Event], None]] = None
-        #: observability recorder (repro.obs); the shared null recorder
-        #: keeps the per-event cost to one flag check when disabled
-        self._obs = NULL_OBS
-        #: hot-path self-profiler (repro.obs.profiler); same null/guard
-        #: pattern as ``obs``
-        self._prof = NULL_PROFILER
-        #: single is-anything-installed flag the run loop branches on;
-        #: refreshed whenever trace/obs/prof are (un)installed
-        self._hooked = _GLOBAL_TRACE is not None
-        if _GLOBAL_TRACE is not None:
-            self._trace = _GLOBAL_TRACE
-
-    # ------------------------------------------------------------------
-    # instrumentation wiring (rare: assignment refreshes the hot flag)
-    # ------------------------------------------------------------------
-    @property
-    def obs(self):
-        return self._obs
-
-    @obs.setter
-    def obs(self, hub) -> None:
-        self._obs = hub
-        self._refresh_hooked()
-
-    @property
-    def prof(self):
-        return self._prof
-
-    @prof.setter
-    def prof(self, prof) -> None:
-        self._prof = prof
-        self._refresh_hooked()
-
-    def set_trace(self, fn: Optional[Callable[[Event], None]]) -> None:
-        """Install a hook called with each event just before it fires."""
-        self._trace = fn
-        self._refresh_hooked()
-
-    def _refresh_hooked(self) -> None:
-        self._hooked = (
-            self._trace is not None
-            or self._obs.enabled
-            or self._prof.enabled
-        )
+        #: the instrumentation bus (repro.obs.bus): every hook site of
+        #: this simulator reports here; a new simulator joins the
+        #: subscribers of the open global window
+        self.bus = SimBus(self)
 
     # ------------------------------------------------------------------
     # scheduling API
@@ -140,6 +98,11 @@ class Simulator:
     @property
     def now(self) -> float:
         return self.clock._now
+
+    @property
+    def queue_depth(self) -> int:
+        """Heap entries, cancelled-but-unpopped ones included."""
+        return len(self._heap)
 
     @property
     def processed_events(self) -> int:
@@ -255,8 +218,10 @@ class Simulator:
         st.processed += 1
         if st.processed > self._max_events:
             raise SimulationError(self._exhaustion_diagnostics(ev))
-        if self._hooked:
-            self._fire_hooks(ev)
+        hooks = self.bus.on_event
+        if hooks:
+            for fn in hooks:
+                fn(ev)
         ev.callback()
         return True
 
@@ -281,6 +246,7 @@ class Simulator:
         pop = heapq.heappop
         clock = self.clock
         st = self.stats
+        bus = self.bus
         max_events = self._max_events
         limit = float("inf") if until is None else until
         # processed count kept in a local; everything that reads it
@@ -308,18 +274,11 @@ class Simulator:
                 if processed > max_events:
                     st.processed = processed
                     raise SimulationError(self._exhaustion_diagnostics(ev))
-                if self._hooked:
-                    # _fire_hooks inlined: hooks may be (re)installed by a
-                    # callback mid-run, so each is re-read per event
-                    trace = self._trace
-                    if trace is not None:
-                        trace(ev)
-                    obs = self._obs
-                    if obs.enabled:
-                        obs.sim_event(ev.label)
-                    prof = self._prof
-                    if prof.enabled:
-                        prof.on_event(ev.label, len(heap))
+                # re-read per event: a callback may subscribe mid-run
+                hooks = bus.on_event
+                if hooks:
+                    for fn in hooks:
+                        fn(ev)
                 ev.callback()
         finally:
             st.processed = processed
@@ -346,15 +305,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _fire_hooks(self, ev: Event) -> None:
-        """Slow path: deliver ``ev`` to whichever hooks are installed."""
-        if self._trace is not None:
-            self._trace(ev)
-        if self._obs.enabled:
-            self._obs.sim_event(ev.label)
-        if self._prof.enabled:
-            self._prof.on_event(ev.label, len(self._heap))
-
     def _live_events_sorted(self, n: int) -> List[Event]:
         """The ``n`` soonest live events (diagnostics only; O(pending))."""
         live = (en for en in self._heap if not en[3].cancelled)
@@ -392,18 +342,3 @@ class Simulator:
             f"processed={self.stats.processed})"
         )
 
-
-# ---------------------------------------------------------------------------
-# process-global trace hook (mirrors the global obs hub / profiler: lets
-# harnesses capture every simulator a scenario builds internally)
-# ---------------------------------------------------------------------------
-_GLOBAL_TRACE: Optional[Callable[[Event], None]] = None
-
-
-def install_global_trace(fn: Optional[Callable[[Event], None]]) -> None:
-    """Make ``fn`` the initial trace hook of every *new* Simulator
-    (``None`` uninstalls). Existing simulators are unaffected; the
-    schedule-identity tests use this to record event streams from
-    simulators that scenarios construct internally."""
-    global _GLOBAL_TRACE
-    _GLOBAL_TRACE = fn

@@ -22,8 +22,7 @@ from __future__ import annotations
 from typing import List, Set
 
 from ..errors import ResourceError
-from ..obs.profiler import NULL_PROFILER
-from ..obs.recorder import NULL_OBS
+from ..obs.bus import SimBus
 from .device import GPUDeviceSpec
 from .kernel import ResourceUsage
 from .occupancy import cta_footprint
@@ -63,10 +62,11 @@ class SM:
     """One streaming multiprocessor: its resident set plus a view into
     the device's :class:`SMBank` slot."""
 
-    __slots__ = ("sm_id", "spec", "resident", "bank", "obs", "prof")
+    __slots__ = ("sm_id", "spec", "resident", "bank", "bus")
 
     def __init__(
-        self, sm_id: int, spec: GPUDeviceSpec, bank: SMBank = None
+        self, sm_id: int, spec: GPUDeviceSpec, bank: SMBank = None,
+        bus: SimBus = None,
     ):
         self.sm_id = sm_id
         self.spec = spec
@@ -75,10 +75,9 @@ class SM:
         #: tests) gets a private single-entry bank, indexed by sm_id = 0
         #: — device-built SMs are indexed by their sm_id
         self.bank = bank if bank is not None else SMBank(spec, sm_id + 1)
-        #: observability recorder; set by the owning device
-        self.obs = NULL_OBS
-        #: hot-path self-profiler; set by the owning device
-        self.prof = NULL_PROFILER
+        #: the owning device's simulator bus (a standalone SM gets a
+        #: private, empty one)
+        self.bus = bus if bus is not None else SimBus(None)
 
     # -- bank views (diagnostics/monitors; the hot path reads the bank) --
     @property
@@ -145,10 +144,10 @@ class SM:
         bank.warps[i] += warps
         bank.regs[i] += regs
         bank.smem[i] += smem
-        if self.obs.enabled:
-            self.obs.sm_admitted(self.sm_id, len(resident))
-        if self.prof.enabled:
-            self.prof.on_sm_admit(self.sm_id, len(resident))
+        hooks = self.bus.on_sm_admit
+        if hooks:
+            for fn in hooks:
+                fn(i, len(resident))
 
     def release(self, context, usage: ResourceUsage) -> None:
         """Remove a CTA context, returning its resources."""
@@ -174,10 +173,10 @@ class SM:
             raise ResourceError(
                 f"SM {self.sm_id} resource accounting went negative"
             )
-        if self.obs.enabled:
-            self.obs.sm_released(self.sm_id, len(resident))
-        if self.prof.enabled:
-            self.prof.on_sm_release(self.sm_id, len(resident))
+        hooks = self.bus.on_sm_release
+        if hooks:
+            for fn in hooks:
+                fn(i, len(resident))
 
     @property
     def idle(self) -> bool:

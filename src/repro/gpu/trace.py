@@ -1,7 +1,6 @@
 """Execution timelines: who occupied which SM, when.
 
-A :class:`Timeline` attached to a :class:`~repro.gpu.gpu.SimulatedGPU`
-records one interval per hosted CTA context (SM id, start, end, kernel,
+A :class:`Timeline` subscribed to a simulator's bus records one interval per hosted CTA context (SM id, start, end, kernel,
 tags). From those intervals it derives per-SM occupancy series and an
 ASCII Gantt rendering — which is how `experiments/fig2.py` regenerates
 the paper's Figure-2 illustration of temporal vs spatial preemption.
@@ -30,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from zlib import crc32
 
 from ..errors import SimulationError
+from ..obs.bus import SimHook
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,11 @@ class Interval:
 
 
 @dataclass
-class Timeline:
-    """Recorder for CTA residency intervals.
+class Timeline(SimHook):
+    """Recorder for CTA residency intervals: a bus subscriber.
 
-    Attach with ``gpu.tracer = Timeline()`` *before* launching work;
-    the device reports every context retirement.
+    Subscribe with ``sim.bus.subscribe(Timeline())`` *before* launching
+    work; the device reports every context placement and retirement.
     """
 
     intervals: List[Interval] = field(default_factory=list)
@@ -283,14 +283,13 @@ def collected_schedule_hashes():
 _COLLECT: Optional[List[Timeline]] = None
 
 
-def _maybe_collect_timeline() -> Optional[Timeline]:
-    """A fresh collected Timeline when a collection window is open (the
-    device constructor calls this), else None."""
-    if _COLLECT is None:
-        return None
-    tl = Timeline()
-    _COLLECT.append(tl)
-    return tl
+def _maybe_collect_timeline(sim) -> None:
+    """Subscribe a fresh collected Timeline to ``sim``'s bus when a
+    collection window is open (the device constructor calls this)."""
+    if _COLLECT is not None:
+        tl = Timeline()
+        _COLLECT.append(tl)
+        sim.bus.subscribe(tl)
 
 
 @contextmanager

@@ -1,7 +1,10 @@
-"""Unified observability layer: metrics registry, span tracer, exporters.
+"""Unified observability layer: the simulator bus, metrics registry, span
+tracer, self-profiler, exporters.
 
 See DESIGN.md's "Observability" section for the metric catalog and the
-span model. Quick start::
+span model, and :mod:`repro.obs.bus` for the one instrumentation channel
+every subscriber (hub, profiler, monitors, timeline) listens on. Quick
+start::
 
     from repro import FlepSystem
     from repro.obs import Observability
@@ -26,6 +29,7 @@ from .bench import (
     load_bench_report,
     run_bench,
 )
+from .bus import SimBus, SimHook, subscribed
 from .metrics import (
     Counter,
     DEFAULT_US_BUCKETS,
@@ -35,25 +39,8 @@ from .metrics import (
     MetricsRegistry,
     parse_prometheus,
 )
-from .profiler import (
-    LatencyStat,
-    NULL_PROFILER,
-    NullSimProfiler,
-    SimProfiler,
-    get_global_profiler,
-    install_global_profiler,
-    profiled,
-    uninstall_global_profiler,
-)
-from .recorder import (
-    NULL_OBS,
-    NullObservability,
-    Observability,
-    get_global,
-    install_global,
-    observed,
-    uninstall_global,
-)
+from .profiler import LatencyStat, SimProfiler, profiled
+from .recorder import Observability, observed
 from .tracer import CounterSample, InstantEvent, Span, SpanTracer
 
 __all__ = [
@@ -71,26 +58,19 @@ __all__ = [
     "LatencyStat",
     "MetricsError",
     "MetricsRegistry",
-    "NULL_OBS",
-    "NULL_PROFILER",
-    "NullObservability",
-    "NullSimProfiler",
     "Observability",
     "SCENARIOS",
+    "SimBus",
+    "SimHook",
     "SimProfiler",
     "Span",
     "SpanTracer",
     "compare_reports",
     "default_bench_filename",
-    "get_global",
-    "get_global_profiler",
-    "install_global",
-    "install_global_profiler",
     "load_bench_report",
     "observed",
     "parse_prometheus",
     "profiled",
     "run_bench",
-    "uninstall_global",
-    "uninstall_global_profiler",
+    "subscribed",
 ]

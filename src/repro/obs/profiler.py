@@ -5,14 +5,15 @@ do?", this module answers "how fast is the *simulator itself*?" — the
 instrument every performance optimisation of the event core is measured
 with (see ROADMAP's speed-overhaul item and ``flep bench``).
 
-A :class:`SimProfiler` hangs off the same guard pattern as the
-observability hub: hot sites (the simulator event loop, SM admission,
-the CTA batch loop, the runtime's preemption mechanics) check a single
-``prof.enabled`` attribute and call typed hooks only when a live
-profiler is installed. Uninstrumented runs share the module-level
-:data:`NULL_PROFILER`, whose hooks are all no-ops, so the uninstalled
-cost is one attribute check per site (asserted ~0% end to end by
-``benchmarks/test_obs_overhead.py``).
+A :class:`SimProfiler` is a subscriber on the simulator's bus
+(:mod:`repro.obs.bus`), like the observability hub: hot sites (the
+simulator event loop, SM admission, the CTA batch loop, the runtime's
+preemption mechanics) test one guard and call the hooks of the
+subscribers that implement them, so an unprofiled run pays one
+attribute check per site (asserted ~0% end to end by
+``benchmarks/test_obs_overhead.py``). A profiler shared by several
+simulators time-stamps each sample and stall with the simulator that
+fired the hook.
 
 Unlike the metrics registry, the profiler's counters are plain ints and
 dicts — no label-key validation, no Prometheus families — so the
@@ -37,16 +38,16 @@ Quick start::
     from repro.obs.profiler import SimProfiler
 
     prof = SimProfiler()
-    system = FlepSystem(policy="hpf", profiler=prof)
+    system = FlepSystem(policy="hpf", profiler=prof)   # subscribes it
     with prof:                      # wall-clock window
         system.submit_at(0.0, "batch", "NN", "large", priority=0)
         system.submit_at(200.0, "rt", "SPMV", "small", priority=1)
         system.run()
     print(prof.format_summary())
 
-A profiler can also be installed process-globally (the way ``flep run
---json`` aggregates an ``engine`` block across every simulator an
-experiment builds)::
+:func:`profiled` subscribes a profiler to every simulator built inside
+its window (the way ``flep run --json`` aggregates an ``engine`` block
+across every simulator an experiment builds)::
 
     with profiled() as prof:
         EXPERIMENTS["fig8"].run()
@@ -57,9 +58,10 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ObservabilityError
+from .bus import SimHook, event_kind, subscribed
 
 #: Fixed preemption-latency buckets (µs): FLEP drains span tens of µs
 #: (trivial inputs) to tens of ms (Table 1's worst cases).
@@ -114,18 +116,16 @@ class LatencyStat:
         }
 
 
-class SimProfiler:
+class SimProfiler(SimHook):
     """Hot-path profiler: one instance aggregates any number of runs.
 
-    Attach it to a system (``FlepSystem(profiler=prof)``) or install it
-    process-globally (:func:`install_global_profiler` /
-    :func:`profiled`); every simulator built while it is installed
-    registers itself via :meth:`attach`. Wall time accumulates between
+    Subscribe it to a system (``FlepSystem(profiler=prof)``) or to every
+    simulator of a window (:func:`profiled`); each simulator registers
+    via :meth:`attach` when it subscribes. Wall time accumulates between
     :meth:`start` and :meth:`stop` (or across ``with prof:`` blocks).
     """
 
-    #: Hot paths check this before calling any hook.
-    enabled = True
+    takes_sim = True
 
     def __init__(self, sample_every: int = 64, max_samples: int = 20_000):
         if sample_every <= 0:
@@ -134,7 +134,6 @@ class SimProfiler:
         self.max_samples = max_samples
         #: (sim, processed/scheduled/cancelled baselines, now at attach)
         self._sims: List[Tuple[object, int, int, int, float]] = []
-        self._clock: Callable[[], float] = lambda: 0.0
         # counters (plain ints/dicts: the installed hot cost). Events are
         # counted by *raw label* — one dict op on the hot path — and only
         # collapsed to bounded kind classes when read (events_by_kind).
@@ -168,13 +167,13 @@ class SimProfiler:
     # lifecycle
     # ------------------------------------------------------------------
     def attach(self, sim) -> None:
-        """Register a simulator; its event counters are read *shared*
-        (no copy) from ``sim.stats``, baselined at attach time."""
+        """Register a simulator (called when the profiler joins its
+        bus); its event counters are read *shared* (no copy) from
+        ``sim.stats``, baselined at attach time."""
         st = sim.stats
         self._sims.append(
             (sim, st.processed, st.scheduled, st.cancelled, sim.now)
         )
-        self._clock = lambda: sim.now
 
     def start(self) -> None:
         """Open a wall-clock measurement window (idempotent)."""
@@ -195,72 +194,63 @@ class SimProfiler:
         self.stop()
 
     # ------------------------------------------------------------------
-    # hot hooks (call sites guard with ``prof.enabled``)
+    # bus hooks (repro.obs.bus): the firing simulator comes first
     # ------------------------------------------------------------------
-    def on_event(self, label: str, queue_depth: int) -> None:
-        """One simulator event fired; ``queue_depth`` is the heap length
-        after the pop. Totals come from the shared ``EventLoopStats`` —
-        this hook only classifies, and is deliberately minimal: one dict
-        increment plus a decimation countdown."""
+    def on_event(self, sim, ev) -> None:
+        """One simulator event is about to fire. Totals come from the
+        shared ``EventLoopStats`` — this hook only classifies, and is
+        deliberately minimal: one dict increment plus a decimation
+        countdown that samples the heap length after the pop."""
+        label = ev.label
         by_label = self._by_label
         by_label[label] = by_label.get(label, 0) + 1
         self._until_sample -= 1
         if self._until_sample <= 0:
             self._until_sample = self.sample_every
             if len(self.queue_samples) < self.max_samples:
-                self.queue_samples.append((self._clock(), queue_depth))
+                self.queue_samples.append((sim.now, sim.queue_depth))
             else:
                 self.dropped_samples += 1
 
-    def on_sm_admit(self, sm_id: int, resident: int) -> None:
+    def on_sm_admit(self, sim, sm_id: int, resident: int) -> None:
         """A CTA context was admitted onto ``sm_id``."""
         self.cta_admissions += 1
-        self._sm_sample(sm_id, resident)
+        self._sm_sample(sim.now, sm_id, resident)
 
-    def on_sm_release(self, sm_id: int, resident: int) -> None:
+    def on_sm_release(self, sim, sm_id: int, resident: int) -> None:
         """A CTA context left ``sm_id``."""
-        self._sm_sample(sm_id, resident)
+        self._sm_sample(sim.now, sm_id, resident)
 
-    def on_tasks_pulled(self, n: int) -> None:
-        """``n`` tasks were pulled from a persistent task pool."""
-        self.task_pulls += n
-
-    def on_flag_polls(self, n: int) -> None:
-        """``n`` pinned-memory preemption-flag polls were performed."""
-        self.flag_polls += n
-
-    def on_batch(self, tasks: int, polls: int) -> None:
-        """One persistent-kernel batch retired: ``tasks`` pulled,
-        ``polls`` flag polls. The combined form the CTA batch loop calls
-        (one hook invocation per batch instead of two)."""
+    def on_batch(self, sim, tasks: int, polls: int) -> None:
+        """Persistent-kernel work retired: ``tasks`` pulled, ``polls``
+        flag polls (one hook invocation per batch)."""
         self.task_pulls += tasks
         self.flag_polls += polls
 
-    def on_macro_collapse(self, batches: int) -> None:
+    def on_macro_collapse(self, sim, batches: int) -> None:
         """``batches`` per-batch events were collapsed into a macro-event
         fast-forward flush (:mod:`repro.gpu.macro`). Their task/poll
         totals were already charged through :meth:`on_batch`; this only
         records how much per-batch eventing was avoided."""
         self.batches_collapsed += batches
 
-    def on_preempt_requested(self, kind: str, inv_id: int) -> None:
+    def on_preempt_requested(self, sim, inv, kind: str, yield_sms: int) -> None:
         """A preemption was requested; opens the drain-stall span."""
         self.preempt_requested[kind] = self.preempt_requested.get(kind, 0) + 1
-        self._open_stalls[(kind, inv_id)] = self._clock()
+        self._open_stalls[(kind, inv.inv_id)] = sim.now
 
-    def on_drained(self, inv_id: int) -> None:
+    def on_drained(self, sim, inv, latency_us) -> None:
         """A temporally preempted invocation is fully off the GPU."""
-        self._close_stall("temporal", inv_id)
+        self._close_stall("temporal", inv.inv_id, sim.now)
 
-    def on_spatial_reclaimed(self, inv_id: int) -> None:
+    def on_topped_up(self, sim, inv) -> None:
         """A spatial victim got its yielded SMs back (guest finished)."""
-        self._close_stall("spatial", inv_id)
+        self._close_stall("spatial", inv.inv_id, sim.now)
 
-    def _close_stall(self, kind: str, inv_id: int) -> None:
+    def _close_stall(self, kind: str, inv_id: int, now: float) -> None:
         started = self._open_stalls.pop((kind, inv_id), None)
         if started is None:
             return
-        now = self._clock()
         self.preempt_completed[kind] = self.preempt_completed.get(kind, 0) + 1
         self.latency[kind].observe(now - started)
         if len(self.drain_stalls) < self.max_samples:
@@ -268,9 +258,9 @@ class SimProfiler:
         else:
             self.dropped_samples += 1
 
-    def _sm_sample(self, sm_id: int, resident: int) -> None:
+    def _sm_sample(self, now: float, sm_id: int, resident: int) -> None:
         if len(self.sm_samples) < self.max_samples:
-            self.sm_samples.append((self._clock(), sm_id, resident))
+            self.sm_samples.append((now, sm_id, resident))
         else:
             self.dropped_samples += 1
 
@@ -283,7 +273,7 @@ class SimProfiler:
         at read time; the hot path only bumps raw-label counters)."""
         out: Dict[str, int] = {}
         for label, n in self._by_label.items():
-            kind = _event_kind(label)
+            kind = event_kind(label)
             out[kind] = out.get(kind, 0) + n
         if self.batches_collapsed:
             out["macro-batch"] = (
@@ -458,104 +448,20 @@ class SimProfiler:
         return n
 
 
-def _event_kind(label: str) -> str:
-    """Collapse an event label to a bounded-cardinality class:
-    ``"NN__flep/ctx3/batch" -> "batch"``, ``"launch:NN" -> "launch"``."""
-    if not label:
-        return "unlabelled"
-    return label.rsplit("/", 1)[-1].split(":", 1)[0]
-
-
-class NullSimProfiler(SimProfiler):
-    """The default profiler: every hook is a no-op.
-
-    Mirrors :class:`~repro.obs.recorder.NullObservability` — uninstalled
-    hot paths pay one ``prof.enabled`` attribute check per site.
-    """
-
-    enabled = False
-
-    def attach(self, sim):  # noqa: D102 - no-op hooks
-        pass
-
-    def on_event(self, label, queue_depth):
-        pass
-
-    def on_sm_admit(self, sm_id, resident):
-        pass
-
-    def on_sm_release(self, sm_id, resident):
-        pass
-
-    def on_tasks_pulled(self, n):
-        pass
-
-    def on_flag_polls(self, n):
-        pass
-
-    def on_batch(self, tasks, polls):
-        pass
-
-    def on_macro_collapse(self, batches):
-        pass
-
-    def on_preempt_requested(self, kind, inv_id):
-        pass
-
-    def on_drained(self, inv_id):
-        pass
-
-    def on_spatial_reclaimed(self, inv_id):
-        pass
-
-    def start(self):
-        pass
-
-    def stop(self):
-        pass
-
-
-#: Shared no-op profiler used as the default everywhere.
-NULL_PROFILER = NullSimProfiler()
-
-# ---------------------------------------------------------------------------
-# process-global profiler (how `flep run/serve/bench` profile whole runs)
-# ---------------------------------------------------------------------------
-_GLOBAL_PROFILER: Optional[SimProfiler] = None
-
-
-def install_global_profiler(prof: SimProfiler) -> SimProfiler:
-    """Make ``prof`` the default profiler for new systems."""
-    global _GLOBAL_PROFILER
-    _GLOBAL_PROFILER = prof
-    return prof
-
-
-def uninstall_global_profiler() -> None:
-    """Remove the process-global profiler (new systems go back to null)."""
-    global _GLOBAL_PROFILER
-    _GLOBAL_PROFILER = None
-
-
-def get_global_profiler() -> Optional[SimProfiler]:
-    """The currently installed process-global profiler, if any."""
-    return _GLOBAL_PROFILER
-
-
 @contextmanager
 def profiled(prof: Optional[SimProfiler] = None):
-    """Install a profiler globally (and run its wall clock) for the
-    duration::
+    """Subscribe a profiler to every simulator built inside the window
+    (:func:`repro.obs.bus.subscribed`; nestable) and run its wall clock
+    for the duration::
 
         with profiled() as prof:
             EXPERIMENTS["fig8"].run()
         print(prof.format_summary())
     """
     prof = prof if prof is not None else SimProfiler()
-    install_global_profiler(prof)
     prof.start()
     try:
-        yield prof
+        with subscribed(prof):
+            yield prof
     finally:
         prof.stop()
-        uninstall_global_profiler()

@@ -1,19 +1,18 @@
 """The observability hub: one facade the instrumented layers talk to.
 
 Instrumentation sites (simulator, device, SMs, CTA contexts, runtime
-engine) never touch metric families or spans directly — they call the
-typed hooks on an :class:`Observability` hub, which maintains the
-metrics catalog and the span model in one place. Uninstrumented runs use
-the module-level :data:`NULL_OBS` singleton, a :class:`NullObservability`
-whose hooks are all no-ops; hot paths additionally guard with the
-``enabled`` class attribute so a disabled run pays a single attribute
-check per site (asserted <5% end-to-end by
-``benchmarks/test_obs_overhead.py``).
+engine) never touch metric families or spans directly — they report
+through their simulator's bus (:mod:`repro.obs.bus`), and an
+:class:`Observability` hub is one subscriber on it, maintaining the
+metrics catalog and the span model in one place. An unobserved run has
+no hub on the bus and pays one guard per site (asserted <5% end-to-end
+by ``benchmarks/test_obs_overhead.py``).
 
-A hub can also be installed process-globally (``install_global``):
-:class:`~repro.core.flep.FlepSystem` picks the global hub up by default,
-which is how ``flep stats`` aggregates metrics across every simulation
-an experiment runs without threading a registry through the harness.
+A hub shared by several simulators time-stamps each record with the
+simulator that fired the hook. :func:`observed` subscribes a hub to
+every simulator built inside its window, which is how ``flep stats``
+aggregates metrics across every simulation an experiment runs without
+threading a registry through the harness.
 
 Span model (exported via ``tracer.chrome_trace()``):
 
@@ -33,6 +32,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Dict, Optional, Tuple
 
+from .bus import SimHook, event_kind, subscribed
 from .metrics import MetricsRegistry
 from .tracer import Span, SpanTracer
 
@@ -43,11 +43,11 @@ TURNAROUND_US_BUCKETS: Tuple[float, ...] = (
 )
 
 
-class Observability:
-    """Live hub: a metrics registry plus a span tracer."""
+class Observability(SimHook):
+    """Live hub: a metrics registry plus a span tracer, subscribed to
+    one or more simulators' buses."""
 
-    #: Hot paths check this before calling any hook.
-    enabled = True
+    takes_sim = True
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self.metrics = MetricsRegistry()
@@ -59,11 +59,11 @@ class Observability:
         self._resident_ctas = 0
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Point the span tracer at a (new) simulation clock.
+        """Point the span tracer's own clock at a (new) simulation clock.
 
-        A hub installed globally before any system exists starts on a
-        zero clock; each FlepSystem that adopts it re-binds the tracer to
-        its own simulator so span timestamps are meaningful."""
+        Bus hooks time-stamp with the firing simulator; the clock serves
+        what a front-end records directly (request spans) and the
+        default of :meth:`finalize`."""
         self.tracer._clock = clock
 
     # ------------------------------------------------------------------
@@ -154,58 +154,52 @@ class Observability:
         )
 
     # ------------------------------------------------------------------
-    # simulator / device hooks (hot paths: call only when ``enabled``)
+    # bus hooks (repro.obs.bus): the firing simulator comes first, and
+    # every timestamp is read from it
     # ------------------------------------------------------------------
-    @staticmethod
-    def _event_kind(label: str) -> str:
-        """Collapse event labels to a bounded-cardinality kind:
-        ``"NN__flep/ctx3/batch" -> "batch"``, ``"launch:NN" -> "launch"``."""
-        if not label:
-            return "unlabelled"
-        return label.rsplit("/", 1)[-1].split(":", 1)[0]
+    def on_event(self, sim, ev) -> None:
+        self.m_sim_events.inc(kind=event_kind(ev.label))
 
-    def sim_event(self, label: str) -> None:
-        self.m_sim_events.inc(kind=self._event_kind(label))
-
-    def kernel_launched(self, kernel_name: str) -> None:
+    def on_launch(self, sim, kernel_name: str) -> None:
         self.m_launches.inc(kernel=kernel_name)
 
     def kernel_relaunched(self, reason: str) -> None:
         self.m_relaunches.inc(reason=reason)
 
-    def hw_queue_depth(self, depth: int) -> None:
+    def on_hw_queue(self, sim, depth: int) -> None:
         self.m_hw_queue.set(depth)
-        self.tracer.counter("hw_queue_depth", process="device", grids=depth)
+        self.tracer.counter_at(
+            "hw_queue_depth", sim.now, process="device", grids=depth
+        )
 
-    def sm_admitted(self, sm_id: int, resident: int) -> None:
+    def on_sm_admit(self, sim, sm_id: int, resident: int) -> None:
         self.m_cta_admissions.inc()
         self.m_sm_resident.set(resident, sm=str(sm_id))
         self._resident_ctas += 1
-        self.tracer.counter(
-            "resident_ctas", process="device", ctas=self._resident_ctas
+        self.tracer.counter_at(
+            "resident_ctas", sim.now, process="device",
+            ctas=self._resident_ctas,
         )
 
-    def sm_released(self, sm_id: int, resident: int) -> None:
+    def on_sm_release(self, sim, sm_id: int, resident: int) -> None:
         self.m_sm_resident.set(resident, sm=str(sm_id))
         self._resident_ctas -= 1
-        self.tracer.counter(
-            "resident_ctas", process="device", ctas=self._resident_ctas
+        self.tracer.counter_at(
+            "resident_ctas", sim.now, process="device",
+            ctas=self._resident_ctas,
         )
 
-    def tasks_pulled(self, n: int) -> None:
-        self.m_task_pulls.inc(n)
+    def on_batch(self, sim, tasks: int, polls: int) -> None:
+        self.m_task_pulls.inc(tasks)
+        if polls:
+            self.m_flag_polls.inc(polls)
 
-    def flag_polled(self, n: int = 1) -> None:
-        if n:
-            self.m_flag_polls.inc(n)
-
-    # ------------------------------------------------------------------
-    # runtime-engine hooks (invocation lifecycle -> spans + metrics)
-    # ------------------------------------------------------------------
+    # -- invocation lifecycle -> spans + metrics ---------------------------
     def _state(self, inv_id: int) -> Dict[str, Span]:
         return self._inv_spans.setdefault(inv_id, {})
 
-    def inv_arrived(self, inv) -> None:
+    def on_arrived(self, sim, inv) -> None:
+        now = sim.now
         self.m_invocations.inc()
         state = self._state(inv.inv_id)
         label = f"{inv.kspec.name}[{inv.inp.name}]"
@@ -217,30 +211,36 @@ class Observability:
             cat="invocation",
             process=inv.process,
             track=inv.inv_id,
+            at_us=now,
             priority=inv.priority,
             predicted_us=inv.record.predicted_us,
         )
         state["seg"] = self.tracer.begin(
-            "wait", cat="segment", process=inv.process, track=inv.inv_id
+            "wait", cat="segment", process=inv.process, track=inv.inv_id,
+            at_us=now,
         )
 
-    def inv_scheduled(self, inv, resumed: bool) -> None:
+    def on_scheduled(self, sim, inv, resumed: bool) -> None:
+        now = sim.now
         state = self._state(inv.inv_id)
-        self._end_segment(state)
+        self._end_segment(state, now)
         name = "resume" if resumed else "execute"
         state["seg"] = self.tracer.begin(
-            name, cat="segment", process=inv.process, track=inv.inv_id
+            name, cat="segment", process=inv.process, track=inv.inv_id,
+            at_us=now,
         )
         if resumed:
             self.kernel_relaunched("resume")
 
-    def inv_preempt_requested(self, inv, kind: str, yield_sms: int) -> None:
+    def on_preempt_requested(self, sim, inv, kind: str, yield_sms: int) -> None:
+        now = sim.now
         self.m_preempt_req.inc(kind=kind)
         self.tracer.instant(
             f"preempt_{kind}",
             cat="preempt",
             process=inv.process,
             track=inv.inv_id,
+            at_us=now,
             yield_sms=yield_sms,
         )
         state = self._state(inv.inv_id)
@@ -251,6 +251,7 @@ class Observability:
                     cat="preempt",
                     process=inv.process,
                     track=inv.inv_id,
+                    at_us=now,
                     yield_sms=yield_sms,
                 )
         elif "spatial" not in state:
@@ -259,32 +260,36 @@ class Observability:
                 cat="preempt",
                 process=inv.process,
                 track=inv.inv_id,
+                at_us=now,
                 yield_sms=yield_sms,
             )
 
-    def inv_drained(self, inv, latency_us: Optional[float]) -> None:
+    def on_drained(self, sim, inv, latency_us: Optional[float]) -> None:
+        now = sim.now
         self.m_preempt_done.inc(kind="temporal")
         if latency_us is not None:
             self.m_drain.observe(latency_us)
         state = self._state(inv.inv_id)
         drain = state.pop("drain", None)
         if drain is not None:
-            self.tracer.end(drain, latency_us=latency_us)
-        self._end_segment(state)
+            self.tracer.end(drain, at_us=now, latency_us=latency_us)
+        self._end_segment(state, now)
         state["seg"] = self.tracer.begin(
-            "wait", cat="segment", process=inv.process, track=inv.inv_id
+            "wait", cat="segment", process=inv.process, track=inv.inv_id,
+            at_us=now,
         )
 
-    def inv_topped_up(self, inv) -> None:
+    def on_topped_up(self, sim, inv) -> None:
         """A spatial guest left; the victim reclaimed its SMs."""
         self.m_preempt_done.inc(kind="spatial")
         self.kernel_relaunched("top_up")
         state = self._state(inv.inv_id)
         spatial = state.pop("spatial", None)
         if spatial is not None:
-            self.tracer.end(spatial)
+            self.tracer.end(spatial, at_us=sim.now)
 
-    def inv_finished(self, inv) -> None:
+    def on_finished(self, sim, inv) -> None:
+        now = sim.now
         self.m_finished.inc()
         record = inv.record
         err = abs(record.predicted_us - record.gpu_time_us)
@@ -296,133 +301,64 @@ class Observability:
         for key in ("drain", "spatial", "seg"):
             span = state.pop(key, None)
             if span is not None:
-                self.tracer.end(span)
+                self.tracer.end(span, at_us=now)
         outer = state.pop("inv", None)
         if outer is not None:
             self.tracer.end(
                 outer,
+                at_us=now,
                 waited_us=record.waited_us,
                 preemptions=record.preemptions,
                 predictor_abs_error_us=err,
             )
 
-    def queue_depth(self, policy_name: str, depth: int) -> None:
+    def on_queue_depth(self, sim, policy_name: str, depth: int) -> None:
         self.m_queue_depth.set(depth, policy=policy_name)
-        self.tracer.counter(
-            "policy_queue_depth", process="scheduler", waiting=depth
+        self.tracer.counter_at(
+            "policy_queue_depth", sim.now, process="scheduler",
+            waiting=depth,
         )
 
-    def _end_segment(self, state: Dict[str, Span]) -> None:
+    def _end_segment(self, state: Dict[str, Span], now: float) -> None:
         seg = state.pop("seg", None)
         if seg is not None:
-            self.tracer.end(seg)
+            self.tracer.end(seg, at_us=now)
 
     # ------------------------------------------------------------------
-    def finalize(self) -> None:
-        """Close any spans left open (end of a run / horizon cut)."""
+    def finalize(self, at_us: Optional[float] = None) -> None:
+        """Close any spans left open (end of a run / horizon cut) at
+        ``at_us`` (default: the tracer's clock)."""
         self._inv_spans.clear()
-        self.tracer.close_open()
+        self.tracer.close_open(at_us)
 
 
-class NullObservability(Observability):
-    """The default recorder: every hook is a no-op.
+def resolve_hub(sim, observability) -> Optional[Observability]:
+    """The hub a front-end built on ``sim`` records into.
 
-    It still owns (empty) metrics/tracer objects so accidental access in
-    cold paths never crashes, but nothing is ever recorded.
-    """
-
-    enabled = False
-
-    def sim_event(self, label):  # noqa: D102 - no-op hooks
-        pass
-
-    def kernel_launched(self, kernel_name):
-        pass
-
-    def kernel_relaunched(self, reason):
-        pass
-
-    def hw_queue_depth(self, depth):
-        pass
-
-    def sm_admitted(self, sm_id, resident):
-        pass
-
-    def sm_released(self, sm_id, resident):
-        pass
-
-    def tasks_pulled(self, n):
-        pass
-
-    def flag_polled(self, n=1):
-        pass
-
-    def inv_arrived(self, inv):
-        pass
-
-    def inv_scheduled(self, inv, resumed):
-        pass
-
-    def inv_preempt_requested(self, inv, kind, yield_sms):
-        pass
-
-    def inv_drained(self, inv, latency_us):
-        pass
-
-    def inv_topped_up(self, inv):
-        pass
-
-    def inv_finished(self, inv):
-        pass
-
-    def queue_depth(self, policy_name, depth):
-        pass
-
-    def bind_clock(self, clock):
-        pass
-
-    def finalize(self):
-        pass
-
-
-#: Shared no-op recorder used as the default everywhere.
-NULL_OBS = NullObservability()
-
-# ---------------------------------------------------------------------------
-# process-global hub (how `flep stats` observes whole experiments)
-# ---------------------------------------------------------------------------
-_GLOBAL: Optional[Observability] = None
-
-
-def install_global(hub: Observability) -> Observability:
-    """Make ``hub`` the default recorder for new FlepSystem instances."""
-    global _GLOBAL
-    _GLOBAL = hub
-    return hub
-
-
-def uninstall_global() -> None:
-    """Remove the process-global hub (new systems go back to null)."""
-    global _GLOBAL
-    _GLOBAL = None
-
-
-def get_global() -> Optional[Observability]:
-    """The currently installed process-global hub, if any."""
-    return _GLOBAL
+    An :class:`Observability` instance or ``True`` (a fresh hub) is
+    bound to the simulator's clock and subscribed to its bus;
+    ``None``/``False`` yields the hub the open window already subscribed
+    (see :func:`observed`), if any."""
+    if observability:
+        hub = (
+            observability if isinstance(observability, Observability)
+            else Observability()
+        )
+        hub.bind_clock(lambda: sim.now)
+        sim.bus.subscribe(hub)
+        return hub
+    return sim.bus.find(Observability)
 
 
 @contextmanager
 def observed(hub: Optional[Observability] = None):
-    """Context manager: install a hub globally for the duration.
+    """Subscribe a hub to every simulator built inside the window
+    (:func:`repro.obs.bus.subscribed`); nestable::
 
         with observed() as hub:
             EXPERIMENTS["fig8"].run()
         print(hub.metrics.format_summary())
     """
     hub = hub if hub is not None else Observability()
-    install_global(hub)
-    try:
+    with subscribed(hub):
         yield hub
-    finally:
-        uninstall_global()

@@ -101,23 +101,26 @@ class SpanTracer:
         cat: str = "",
         process: str = "flep",
         track: int = 0,
+        at_us: Optional[float] = None,
         **args,
     ) -> Span:
+        """Open a span at ``at_us`` (default: the tracer's clock)."""
         span = Span(
             name=name,
             cat=cat,
             process=process,
             track=track,
-            start_us=self.now,
+            start_us=self.now if at_us is None else at_us,
             args=dict(args),
         )
         self.spans.append(span)
         return span
 
-    def end(self, span: Span, **args) -> Span:
+    def end(self, span: Span, at_us: Optional[float] = None, **args) -> Span:
+        """Close ``span`` at ``at_us`` (default: the tracer's clock)."""
         if span.end_us is not None:
             raise ObservabilityError(f"span {span.name!r} ended twice")
-        now = self.now
+        now = self.now if at_us is None else at_us
         if now < span.start_us:
             raise ObservabilityError(
                 f"span {span.name!r} would end before it started"
@@ -152,11 +155,13 @@ class SpanTracer:
         cat: str = "",
         process: str = "flep",
         track: int = 0,
+        at_us: Optional[float] = None,
         **args,
     ) -> None:
         self.instants.append(
             InstantEvent(
-                name, cat, process, track, self.now,
+                name, cat, process, track,
+                self.now if at_us is None else at_us,
                 tuple(sorted(args.items())),
             )
         )

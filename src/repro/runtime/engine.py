@@ -24,8 +24,6 @@ from ..gpu.kernel import LaunchConfig, TaskPool
 from ..gpu.memory import PinnedFlag
 from ..gpu.occupancy import active_slots, sms_needed
 from ..gpu.sim import Simulator
-from ..obs.profiler import NULL_PROFILER, SimProfiler
-from ..obs.recorder import NULL_OBS, Observability
 from ..workloads.benchmarks import BenchmarkSuite
 from ..workloads.specs import InputSpec, KernelSpec
 from .journal import DecisionJournal, DecisionKind
@@ -152,13 +150,11 @@ class FlepRuntime:
         suite: BenchmarkSuite,
         policy,
         config: Optional[RuntimeConfig] = None,
-        obs: Optional[Observability] = None,
-        prof: Optional[SimProfiler] = None,
     ):
         self.sim = sim
         self.gpu = gpu
-        self.obs = obs if obs is not None else NULL_OBS
-        self.prof = prof if prof is not None else NULL_PROFILER
+        #: the simulator's instrumentation bus (invocation lifecycle)
+        self.bus = sim.bus
         self.device: GPUDeviceSpec = gpu.spec
         self.suite = suite
         self.config = config or RuntimeConfig()
@@ -227,8 +223,10 @@ class FlepRuntime:
         self.journal.record(
             self.sim.now, DecisionKind.ARRIVAL, inv, detail=detail,
         )
-        if self.obs.enabled:
-            self.obs.inv_arrived(inv)
+        hooks = self.bus.on_arrived
+        if hooks:
+            for fn in hooks:
+                fn(inv)
         if self.memory_governor is not None:
             from ..workloads.footprints import footprint_bytes
 
@@ -239,8 +237,10 @@ class FlepRuntime:
             )
         else:
             self.policy.on_kernel_arrival(inv)
-        if self.obs.enabled:
-            self.obs.queue_depth(self.policy.name, self.policy.waiting_count())
+        hooks = self.bus.on_queue_depth
+        if hooks:
+            for fn in hooks:
+                fn(self.policy.name, self.policy.waiting_count())
         return inv
 
     # ------------------------------------------------------------------
@@ -262,8 +262,10 @@ class FlepRuntime:
         self.journal.record(
             self.sim.now, kind, inv, detail=f"ctas={grid_ctas}"
         )
-        if self.obs.enabled:
-            self.obs.inv_scheduled(inv, resumed=kind is DecisionKind.RESUME)
+        hooks = self.bus.on_scheduled
+        if hooks:
+            for fn in hooks:
+                fn(inv, kind is DecisionKind.RESUME)
         if self.running is None:
             self.running = inv
             self._launch_grid(inv, grid_ctas)
@@ -295,10 +297,10 @@ class FlepRuntime:
             self.journal.record(
                 self.sim.now, DecisionKind.PREEMPT_TEMPORAL, inv
             )
-            if self.obs.enabled:
-                self.obs.inv_preempt_requested(inv, "temporal", value)
-            if self.prof.enabled:
-                self.prof.on_preempt_requested("temporal", inv.inv_id)
+            hooks = self.bus.on_preempt_requested
+            if hooks:
+                for fn in hooks:
+                    fn(inv, "temporal", value)
             # Update the engine's view *before* the flag write: a grid
             # with no hosted contexts drains synchronously inside
             # host_write, and the policy's drained-handler must already
@@ -312,10 +314,10 @@ class FlepRuntime:
                 self.sim.now, DecisionKind.PREEMPT_SPATIAL, inv,
                 detail=f"yield_sms={value}",
             )
-            if self.obs.enabled:
-                self.obs.inv_preempt_requested(inv, "spatial", value)
-            if self.prof.enabled:
-                self.prof.on_preempt_requested("spatial", inv.inv_id)
+            hooks = self.bus.on_preempt_requested
+            if hooks:
+                for fn in hooks:
+                    fn(inv, "spatial", value)
             inv.yielded_sms = value
             inv.flag.host_write(value)
             # spatially preempted: stays RUNNING on the remaining SMs
@@ -366,8 +368,10 @@ class FlepRuntime:
         inv.record.mark_finished(self.sim.now)
         self._live.pop(inv.inv_id, None)
         self.journal.record(self.sim.now, DecisionKind.COMPLETE, inv)
-        if self.obs.enabled:
-            self.obs.inv_finished(inv)
+        hooks = self.bus.on_finished
+        if hooks:
+            for fn in hooks:
+                fn(inv)
         if self.running is inv:
             self.running = None
             self._promote_guest()
@@ -380,8 +384,10 @@ class FlepRuntime:
         # next kernel); only then does the host process observe S3 -> S1
         # and possibly re-invoke (loop_forever programs)
         self.policy.on_kernel_finished(inv)
-        if self.obs.enabled:
-            self.obs.queue_depth(self.policy.name, self.policy.waiting_count())
+        hooks = self.bus.on_queue_depth
+        if hooks:
+            for fn in hooks:
+                fn(self.policy.name, self.policy.waiting_count())
         if self.memory_governor is not None:
             # freeing the working set may admit parked invocations,
             # which then reach the policy as fresh arrivals
@@ -402,10 +408,10 @@ class FlepRuntime:
                 self.sim.now, DecisionKind.DRAINED, inv,
                 detail=f"T_r={inv.record.remaining_us:.0f}us",
             )
-            if self.obs.enabled:
-                self.obs.inv_drained(inv, grid.preemption_latency_us)
-            if self.prof.enabled:
-                self.prof.on_drained(inv.inv_id)
+            hooks = self.bus.on_drained
+            if hooks:
+                for fn in hooks:
+                    fn(inv, grid.preemption_latency_us)
             self.policy.on_preemption_drained(inv)
 
     def _promote_guest(self) -> None:
@@ -419,10 +425,10 @@ class FlepRuntime:
         relaunch workers to refill the freed SMs."""
         victim.flag.clear()
         victim.yielded_sms = 0
-        if self.obs.enabled:
-            self.obs.inv_topped_up(victim)
-        if self.prof.enabled:
-            self.prof.on_spatial_reclaimed(victim.inv_id)
+        hooks = self.bus.on_topped_up
+        if hooks:
+            for fn in hooks:
+                fn(victim)
         slots = active_slots(self.device, victim.kspec.resources)
         missing = min(
             victim.pool.remaining, slots - victim.active_contexts

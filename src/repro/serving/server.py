@@ -31,7 +31,7 @@ from ..baselines.mps_corun import MPSCoRun
 from ..core.flep import FlepSystem
 from ..errors import ServingError
 from ..gpu.device import GPUDeviceSpec
-from ..obs.recorder import NULL_OBS, Observability, get_global
+from ..obs.recorder import Observability, resolve_hub
 from ..runtime.engine import RuntimeConfig
 from ..workloads.benchmarks import BenchmarkSuite
 from ..workloads.synthetic import Arrival, ArrivalTrace
@@ -108,14 +108,7 @@ class ServingSystem:
             )
             self.system: Optional[FlepSystem] = None
             self.sim = self.backend.sim
-            if isinstance(observability, Observability):
-                self.obs = observability
-            elif observability:
-                self.obs = Observability(clock=lambda: self.sim.now)
-            else:
-                self.obs = get_global() or NULL_OBS
-            if self.obs.enabled:
-                self.obs.bind_clock(lambda: self.sim.now)
+            self.obs = resolve_hub(self.sim, observability)
             self._models = None  # built lazily if admission needs it
         else:
             self.system = FlepSystem(
@@ -132,6 +125,9 @@ class ServingSystem:
             self.backend = self.system
             self.sim = self.system.sim
             self.obs = self.system.obs
+        if self.obs is not None:
+            # request spans are recorded on the serving clock
+            self.obs.bind_clock(lambda: self.sim.now)
         self.admission = AdmissionController(
             self.tenants, delay_headroom=self.config.delay_headroom
         )
@@ -225,7 +221,7 @@ class ServingSystem:
             req.req_id, tenant.name, now, kernel, input_name,
             req.predicted_us,
         )
-        if self.obs.enabled:
+        if self.obs is not None:
             req.span = self.obs.tracer.begin(
                 f"req#{req.req_id} {kernel}[{input_name}]",
                 cat="serving",
@@ -243,7 +239,7 @@ class ServingSystem:
             self.tracker.mark_shed(
                 req.req_id, rate_limited=(verdict.reason == "rate_limit")
             )
-            if self.obs.enabled:
+            if self.obs is not None:
                 self.obs.tracer.end(req.span, outcome=verdict.reason)
                 req.span = None
             self._client_continue(req)
@@ -292,7 +288,7 @@ class ServingSystem:
         self._backlog_us[p] = max(
             0.0, self._backlog_us.get(p, 0.0) - req.predicted_us
         )
-        if self.obs.enabled and req.span is not None:
+        if self.obs is not None and req.span is not None:
             self.obs.tracer.end(req.span, outcome="completed")
             req.span = None
         self._client_continue(req)
@@ -347,6 +343,6 @@ class ServingSystem:
         if not self._traces and not self._clients:
             raise ServingError("nothing to serve: add a trace or a client")
         self.result = self.backend.run(until=until)
-        if self.obs.enabled:
+        if self.obs is not None:
             self.obs.finalize()
         return self.tracker.report(horizon_us=self.sim.now)

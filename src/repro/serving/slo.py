@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 
 from ..errors import ServingError
 from ..metrics.stats import percentiles
-from ..obs.recorder import NULL_OBS, Observability
+from ..obs.recorder import Observability
 from .tenants import TenantSet
 
 #: Wide buckets (µs) for serving latencies (same scale as turnarounds).
@@ -161,10 +161,10 @@ class SLOTracker:
         self, tenants: TenantSet, obs: Optional[Observability] = None
     ):
         self.tenants = tenants
-        self.obs = obs if obs is not None else NULL_OBS
+        self.obs = obs
         self._log: List[RequestLog] = []
         self._by_id: Dict[int, RequestLog] = {}
-        if self.obs.enabled:
+        if self.obs is not None:
             m = self.obs.metrics
             self._m_requests = m.counter(
                 "flep_serving_requests_total",
@@ -232,7 +232,7 @@ class SLOTracker:
 
     def mark_delayed(self, req_id: int) -> None:
         self._by_id[req_id].delayed = True
-        if self.obs.enabled:
+        if self.obs is not None:
             self._m_delayed.inc(tenant=self._by_id[req_id].tenant)
 
     def mark_shed(
@@ -243,7 +243,7 @@ class SLOTracker:
         log.outcome = "rate_limited" if rate_limited else "shed"
         if log.outcome == "shed":
             log.shed_cause = cause or "admission"
-        if self.obs.enabled:
+        if self.obs is not None:
             self._m_requests.inc(tenant=log.tenant, outcome=log.outcome)
 
     def mark_lost(self, req_id: int) -> None:
@@ -255,7 +255,7 @@ class SLOTracker:
                 f"request {req_id} completed; it cannot be lost"
             )
         log.outcome = "lost"
-        if self.obs.enabled:
+        if self.obs is not None:
             self._m_requests.inc(tenant=log.tenant, outcome="lost")
 
     def mark_completed(self, req_id: int, finished_us: float) -> None:
@@ -266,7 +266,7 @@ class SLOTracker:
             )
         log.outcome = "completed"
         log.finished_us = finished_us
-        if self.obs.enabled:
+        if self.obs is not None:
             self._m_requests.inc(tenant=log.tenant, outcome="completed")
             self._m_latency.observe(log.latency_us, tenant=log.tenant)
             if log.deadline_missed:
@@ -310,7 +310,7 @@ class SLOTracker:
                 row.goodput_rps = good / horizon_s
             else:
                 row.goodput_rps = row.completed / horizon_s
-            if self.obs.enabled:
+            if self.obs is not None:
                 if row.attainment is not None:
                     self._m_attain.set(row.attainment, tenant=tenant.name)
                 self._m_goodput.set(row.goodput_rps, tenant=tenant.name)

@@ -5,10 +5,10 @@ Three layers, each usable on its own:
 * **Online invariant monitors** (:mod:`.monitors`) — attachable to any
   :class:`~repro.gpu.sim.Simulator` / :class:`~repro.gpu.gpu.SimulatedGPU`
   / :class:`~repro.runtime.engine.FlepRuntime` /
-  :class:`~repro.core.flep.FlepSystem` through the existing ``set_trace``
-  hook. They re-check SM resource budgets, task conservation, event-time
-  monotonicity, spatial ``%smid`` partitioning and the HPF/FFS policy
-  contracts after every simulated event, raising
+  :class:`~repro.core.flep.FlepSystem` as subscribers on the simulator's
+  bus (:mod:`repro.obs.bus`). They re-check SM resource budgets, task
+  conservation, event-time monotonicity, spatial ``%smid`` partitioning
+  and the HPF/FFS policy contracts after every simulated event, raising
   :class:`~repro.errors.InvariantViolation` the moment a state is illegal.
   Nothing is installed by default: an unmonitored run pays zero cost.
   Installed, an event costs work in proportion to live state (resident

@@ -1,12 +1,12 @@
 """Online invariant monitors.
 
 A :class:`Monitor` re-checks one class of invariant after every simulated
-event; a :class:`MonitorSet` owns a group of monitors and splices them
-into a :class:`~repro.gpu.sim.Simulator` through the existing
-``set_trace`` hook (chaining with any trace function already installed,
-so monitors compose with user tracing). Monitors are **zero-cost when
-not installed**: no hot path in the simulator, device or runtime knows
-this module exists.
+event; a :class:`MonitorSet` owns a group of monitors and subscribes
+each of them to a :class:`~repro.gpu.sim.Simulator`'s bus
+(:mod:`repro.obs.bus`), next to whatever else listens there, so the
+event loop calls every monitor's ``on_event`` directly. Monitors are
+**zero-cost when not installed**: no hot path in the simulator, device
+or runtime knows this module exists.
 
 Installed, they are **O(live state) per event, never O(history)**: each
 check walks only what is live — resident CTAs (through the device
@@ -48,11 +48,12 @@ ffs-contract      Over any window in which every active class has
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import InvariantViolation, ValidationError
 from ..gpu.kernel import KernelMode
 from ..gpu.sim import Simulator
+from ..obs.bus import SimHook
 from ..runtime.tracker import InvocationState
 
 __all__ = [
@@ -70,14 +71,12 @@ __all__ = [
 ]
 
 
-class Monitor:
-    """One online invariant: re-checked after every simulated event."""
+class Monitor(SimHook):
+    """One online invariant: a bus subscriber whose ``on_event`` (called
+    just before each event fires, ``None`` from :meth:`MonitorSet.check_now`)
+    inspects the system and raises on violation."""
 
     name = "abstract"
-
-    def on_event(self, ev) -> None:
-        """Called (via the simulator trace hook) just before each event
-        fires; inspect the system and raise on violation."""
 
     def finalize(self, now: float) -> None:
         """End-of-run checks (quiescence, completeness, share errors)."""
@@ -87,36 +86,26 @@ class Monitor:
 
 
 class MonitorSet:
-    """A group of monitors spliced into one simulator's trace hook."""
+    """A group of monitors subscribed to one simulator's bus. Sets are
+    independent: installing or uninstalling one, in any order, leaves
+    every other subscriber as it was."""
 
     def __init__(self, sim: Simulator, monitors: List[Monitor]):
         self.sim = sim
         self.monitors = list(monitors)
         self._installed = False
-        self._previous: Optional[Callable] = None
 
     def install(self) -> "MonitorSet":
-        """Attach to the simulator, chaining any existing trace hook."""
+        """Subscribe every monitor to the simulator's bus."""
         if self._installed:
             raise ValidationError("monitor set already installed")
-        self._previous = self.sim._trace
-        previous = self._previous
-        monitors = self.monitors
-
-        def run_monitors(ev):
-            for m in monitors:
-                m.on_event(ev)
-            if previous is not None:
-                previous(ev)
-
-        self.sim.set_trace(run_monitors)
+        self.sim.bus.subscribe(*self.monitors)
         self._installed = True
         return self
 
     def uninstall(self) -> None:
         if self._installed:
-            self.sim.set_trace(self._previous)
-            self._previous = None
+            self.sim.bus.unsubscribe(*self.monitors)
             self._installed = False
 
     def finalize(self) -> None:

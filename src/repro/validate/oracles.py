@@ -88,7 +88,7 @@ class _PersistentBaseline:
         self.sim = Simulator()
         self.gpu = SimulatedGPU(self.sim, device)
         self.timeline = Timeline()
-        self.gpu.tracer = self.timeline
+        self.sim.bus.subscribe(self.timeline)
         self._queue: List[Tuple[str, str]] = []
         self._busy = False
 

@@ -242,18 +242,9 @@ class TestReplaysReferenceTimeline:
 
         def scenario(sim, gpu):
             flag = gpu.new_flag()
-            hook = WriteOnThirdPlacement(flag)
-            real = gpu.tracer
-
-            class Both:
-                def context_placed(self, ctx, grid):
-                    real.context_placed(ctx, grid)
-                    hook.context_placed(ctx, grid)
-
-                def context_retired(self, ctx, now):
-                    real.context_retired(ctx, now)
-
-            gpu.tracer = Both()
+            # subscribed after the collected timeline, so the timeline
+            # records each placement before the hook writes the flag
+            sim.bus.subscribe(WriteOnThirdPlacement(flag))
             _, pool, _ = _persistent(gpu, make_kernel, 3_000, 8, flag=flag)
             return pool, []
 

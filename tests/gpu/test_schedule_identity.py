@@ -25,9 +25,10 @@ from repro.gpu.kernel import (
     TaskModel,
     TaskPool,
 )
-from repro.gpu.sim import Simulator, install_global_trace
+from repro.gpu.sim import Simulator
 from repro.gpu.trace import collected_timelines
 from repro.obs.bench import BUDGETS, SCENARIOS
+from repro.obs.bus import SimHook, subscribed
 from repro.obs.profiler import SimProfiler, profiled
 
 #: CI-smoke scale; big enough that every scenario exercises dispatch,
@@ -300,14 +301,17 @@ def test_burst_shapes_replay_reference(
 
 def test_global_trace_uninstalls_cleanly():
     seen = []
-    install_global_trace(seen.append)
-    try:
+
+    class Labels(SimHook):
+        def on_event(self, ev):
+            seen.append(ev.label)
+
+    with subscribed(Labels()):
         sim = Simulator()
-        assert sim._hooked
-    finally:
-        install_global_trace(None)
     sim2 = Simulator()
-    sim2.schedule(1.0, lambda: None)
-    sim2.run()
-    # only the first simulator inherited the hook
-    assert not sim2._hooked
+    for s in (sim, sim2):
+        s.schedule(1.0, lambda: None, label="x")
+        s.run()
+    # only the simulator built inside the window joined it
+    assert seen == ["x"]
+    assert not sim2.bus.on_event

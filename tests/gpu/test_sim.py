@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.gpu.sim import Simulator
+from repro.obs.bus import SimHook
 
 
 class TestScheduling:
@@ -164,7 +165,12 @@ class TestRun:
 
     def test_trace_hook_sees_events(self, sim):
         seen = []
-        sim.set_trace(lambda ev: seen.append(ev.label))
+
+        class Labels(SimHook):
+            def on_event(self, ev):
+                seen.append(ev.label)
+
+        sim.bus.subscribe(Labels())
         sim.schedule(1.0, lambda: None, label="x")
         sim.run()
         assert seen == ["x"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.flep import FlepSystem
-from repro.obs import NULL_OBS, Observability, observed
+from repro.obs import Observability, observed
 from repro.runtime.engine import RuntimeConfig
 
 
@@ -22,17 +22,15 @@ def run_temporal_pair(suite, **kwargs):
 class TestSystemWiring:
     def test_default_is_null(self, suite):
         system = FlepSystem(policy="hpf", device=suite.device, suite=suite)
-        assert system.obs is NULL_OBS
-        assert system.sim.obs is NULL_OBS
-        assert system.gpu.obs is NULL_OBS
+        assert system.obs is None
+        assert system.sim.bus.subscribers == []
+        assert system.gpu.bus is system.sim.bus
 
     def test_true_builds_hub_on_sim_clock(self, suite):
         system, result = run_temporal_pair(suite, observability=True)
-        assert system.obs.enabled
-        assert system.sim.obs is system.obs
-        assert system.gpu.obs is system.obs
+        assert system.sim.bus.subscribers == [system.obs]
         for sm in system.gpu.sms:
-            assert sm.obs is system.obs
+            assert sm.bus is system.sim.bus
         assert system.obs.tracer.now == result.makespan_us
 
     def test_explicit_instance_used_directly(self, suite):

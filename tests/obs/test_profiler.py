@@ -1,5 +1,6 @@
-"""Self-profiler tests: null path, shared event accounting, hot-loop
-counters on a hand-built schedule, trace export, global installation."""
+"""Self-profiler tests: unprofiled path, shared event accounting,
+hot-loop counters on a hand-built schedule, trace export, the profiled()
+window and time-stamping across several simulators."""
 
 import pytest
 
@@ -7,18 +8,14 @@ from repro.baselines.mps_corun import MPSCoRun
 from repro.core.flep import FlepSystem
 from repro.errors import ObservabilityError, SimulationError
 from repro.gpu.sim import Simulator
-from repro.obs import (
-    NULL_PROFILER,
-    NullSimProfiler,
-    SimProfiler,
-    SpanTracer,
-    get_global_profiler,
-    install_global_profiler,
-    profiled,
-    uninstall_global_profiler,
-)
-from repro.obs.profiler import LatencyStat, _event_kind
+from repro.fleet import FleetConfig, FleetSystem
+from repro.obs import SimProfiler, SpanTracer, profiled
+from repro.obs.bus import event_kind, window
+from repro.obs.profiler import LatencyStat
 from repro.runtime.engine import RuntimeConfig
+from repro.runtime.journal import DecisionKind
+from repro.serving import Tenant
+from repro.workloads.synthetic import Arrival, ArrivalTrace
 
 
 def _three_kernel_run(prof):
@@ -39,32 +36,14 @@ def _three_kernel_run(prof):
 
 
 # ---------------------------------------------------------------------------
-# null path (the zero-cost default)
+# unprofiled path (the zero-cost default)
 # ---------------------------------------------------------------------------
 class TestNullProfiler:
     def test_default_system_uses_null_profiler(self):
         system = FlepSystem(policy="hpf")
-        assert system.prof is NULL_PROFILER
-        assert system.sim.prof is NULL_PROFILER
-        assert not system.prof.enabled
-
-    def test_null_hooks_record_nothing(self):
-        null = NullSimProfiler()
-        null.on_event("x/batch", 3)
-        null.on_sm_admit(0, 1)
-        null.on_tasks_pulled(100)
-        null.on_flag_polls(5)
-        null.on_preempt_requested("temporal", 1)
-        null.on_drained(1)
-        null.start()
-        assert null.events_by_kind == {}
-        assert null.task_pulls == 0 and null.flag_polls == 0
-        assert null.wall_s == 0.0
-        assert null.events_total == 0
-
-    def test_explicit_null_instance_stays_null(self):
-        system = FlepSystem(policy="hpf", profiler=NULL_PROFILER)
-        assert system.prof is NULL_PROFILER
+        assert system.prof is None
+        assert system.sim.bus.find(SimProfiler) is None
+        assert not system.sim.bus.on_event
 
     def test_run_results_identical_with_and_without_profiler(self):
         bare = _three_kernel_run(None)
@@ -100,8 +79,7 @@ class TestSharedCounter:
         sim.run()
         assert sim.stats.processed == 5
         prof = SimProfiler()
-        prof.attach(sim)
-        sim.prof = prof
+        sim.bus.subscribe(prof)
         assert prof.events_total == 0
         sim.schedule_at(10.0, lambda: None, label="counted")
         sim.run()
@@ -113,8 +91,7 @@ class TestSharedCounter:
         sim.schedule_at(1.0, lambda: None, label="dropped").cancel()
         sim.run()
         prof = SimProfiler()
-        prof.attach(sim)
-        sim.prof = prof
+        sim.bus.subscribe(prof)
         for at in (2.0, 3.0):
             sim.schedule_at(at, lambda: None, label="dropped").cancel()
         sim.schedule_at(4.0, lambda: None, label="kept")
@@ -128,8 +105,7 @@ class TestSharedCounter:
     def test_max_events_exhaustion_uses_the_same_counter(self):
         sim = Simulator(max_events=10)
         prof = SimProfiler()
-        prof.attach(sim)
-        sim.prof = prof
+        sim.bus.subscribe(prof)
 
         def rearm():
             sim.schedule(1.0, rearm, label="loop")
@@ -238,18 +214,20 @@ class TestSamplingBounds:
 
     def test_timelines_are_bounded_and_truncation_is_counted(self):
         prof = SimProfiler(sample_every=1, max_samples=10)
-        prof.attach(Simulator())
+        sim = Simulator()
+        sim.bus.subscribe(prof)
         for i in range(25):
-            prof.on_event("x", i)
+            sim.schedule(float(i), lambda: None, label="x")
+        sim.run()
         assert len(prof.queue_samples) == 10
         assert prof.dropped_samples == 15
         assert "truncated" in prof.format_summary()
 
     def test_event_kind_collapse(self):
-        assert _event_kind("NN__flep/ctx3/batch") == "batch"
-        assert _event_kind("launch:NN") == "launch"
-        assert _event_kind("submit:p:NN") == "submit"
-        assert _event_kind("") == "unlabelled"
+        assert event_kind("NN__flep/ctx3/batch") == "batch"
+        assert event_kind("launch:NN") == "launch"
+        assert event_kind("submit:p:NN") == "submit"
+        assert event_kind("") == "unlabelled"
 
     def test_latency_stat_buckets(self):
         stat = LatencyStat()
@@ -264,26 +242,24 @@ class TestSamplingBounds:
 
 
 # ---------------------------------------------------------------------------
-# process-global installation
+# the profiled() window
 # ---------------------------------------------------------------------------
 class TestGlobalProfiler:
-    def teardown_method(self):
-        uninstall_global_profiler()
-
     def test_install_and_uninstall(self):
-        prof = SimProfiler()
-        install_global_profiler(prof)
-        assert get_global_profiler() is prof
-        uninstall_global_profiler()
-        assert get_global_profiler() is None
+        with profiled() as prof:
+            assert window() == (prof,)
+            with profiled() as inner:
+                assert window() == (prof, inner)
+            assert window() == (prof,)
+        assert window() == ()
 
     def test_new_systems_pick_up_the_global(self):
         with profiled() as prof:
             system = FlepSystem(policy="hpf")
             assert system.prof is prof
-            assert system.sim.prof is prof
-        assert get_global_profiler() is None
-        assert FlepSystem(policy="hpf").prof is NULL_PROFILER
+            assert system.sim.bus.subscribers == [prof]
+        assert window() == ()
+        assert FlepSystem(policy="hpf").prof is None
 
     def test_mps_baseline_picks_up_the_global(self):
         with profiled() as prof:
@@ -305,3 +281,72 @@ class TestGlobalProfiler:
         assert prof.wall_s > 0.0
         assert prof.num_sims == 1
         assert prof.events_per_sec > 0.0
+
+
+# ---------------------------------------------------------------------------
+# one profiler, several simulators: stamps come from the firing one
+# ---------------------------------------------------------------------------
+def _canonical_pair():
+    system = FlepSystem(
+        policy="hpf", config=RuntimeConfig(oracle_model=True)
+    )
+    system.submit_at(0.0, "low", "NN", "large", priority=0)
+    system.submit_at(200.0, "high", "SPMV", "small", priority=1)
+    return system
+
+
+def _journal_stalls(system):
+    """(inv_id, requested_at, drained_at) per temporal preemption, from
+    the runtime's own decision journal."""
+    open_at, out = {}, []
+    for ev in system.runtime.journal.events:
+        if ev.kind is DecisionKind.PREEMPT_TEMPORAL:
+            open_at[ev.inv_id] = ev.at_us
+        elif ev.kind is DecisionKind.DRAINED and ev.inv_id in open_at:
+            out.append((ev.inv_id, open_at.pop(ev.inv_id), ev.at_us))
+    return out
+
+
+class TestSharedAcrossSimulators:
+    def test_stall_timed_on_the_simulator_that_ran(self):
+        """Building a second system must not move the first one's
+        clock: the temporal stall reads what a lone system reads."""
+        alone = SimProfiler()
+        lone = _canonical_pair()
+        lone.sim.bus.subscribe(alone)
+        lone.run()
+        with profiled() as prof:
+            first = _canonical_pair()
+            _canonical_pair()
+            first.run()
+        assert alone.latency["temporal"].mean == 47.0
+        assert prof.latency["temporal"].mean == 47.0
+        assert [s[1:] for s in prof.drain_stalls] == _journal_stalls(first)
+
+    def test_fleet_stalls_match_each_nodes_journal(self):
+        tenants = [
+            Tenant("batch", priority=0), Tenant("rt", priority=1),
+        ]
+        arrivals = [
+            Arrival(at_us=250.0 * i, tenant=tenants[i % 2].name,
+                    kernel_name=("NN", "SPMV", "MM")[i % 3],
+                    input_name="large" if i % 2 == 0 else "small",
+                    priority=i % 2)
+            for i in range(60)
+        ]
+        with profiled() as prof:
+            fleet = FleetSystem(tenants, FleetConfig(
+                node_modes=["flep-temporal"] * 3, policy="hpf", seed=3,
+            ))
+            fleet.add_trace(ArrivalTrace(arrivals=arrivals))
+            fleet.run()
+        expected = sorted(
+            stall for node in fleet.nodes
+            for stall in _journal_stalls(node.system)
+        )
+        temporal = sorted(
+            (inv, start, end) for kind, inv, start, end in prof.drain_stalls
+            if kind == "temporal"
+        )
+        assert len(expected) >= 10
+        assert temporal == expected

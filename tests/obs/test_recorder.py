@@ -1,16 +1,22 @@
-"""Observability-hub tests: hooks, the null recorder, the global hub."""
+"""Observability-hub tests: bus hooks, the observed() window."""
 
 import pytest
 
-from repro.obs import (
-    NULL_OBS,
-    NullObservability,
-    Observability,
-    get_global,
-    install_global,
-    observed,
-    uninstall_global,
-)
+from repro.gpu.sim import Simulator
+from repro.obs import Observability, observed
+from repro.obs.bus import window
+
+
+class FakeSim:
+    """The firing simulator, as a bus hook sees it."""
+
+    def __init__(self, now=0.0):
+        self.now = now
+
+
+class FakeEvent:
+    def __init__(self, label):
+        self.label = label
 
 
 class FakeInv:
@@ -41,9 +47,9 @@ class FakeInv:
 class TestDeviceHooks:
     def test_sim_event_kind_collapsing(self):
         hub = Observability()
-        hub.sim_event("NN__flep/ctx3/batch")
-        hub.sim_event("launch:NN")
-        hub.sim_event("")
+        sim = FakeSim()
+        for label in ("NN__flep/ctx3/batch", "launch:NN", ""):
+            hub.on_event(sim, FakeEvent(label))
         c = hub.m_sim_events
         assert c.value(kind="batch") == 1
         assert c.value(kind="launch") == 1
@@ -51,9 +57,10 @@ class TestDeviceHooks:
 
     def test_sm_residency_tracks_gauge_and_counter(self):
         hub = Observability()
-        hub.sm_admitted(0, 1)
-        hub.sm_admitted(0, 2)
-        hub.sm_released(0, 1)
+        sim = FakeSim()
+        hub.on_sm_admit(sim, 0, 1)
+        hub.on_sm_admit(sim, 0, 2)
+        hub.on_sm_release(sim, 0, 1)
         assert hub.m_cta_admissions.total == 2
         assert hub.m_sm_resident.value(sm="0") == 1
         ctas = [dict(s.values)["ctas"] for s in hub.tracer.counters]
@@ -61,29 +68,29 @@ class TestDeviceHooks:
 
     def test_task_pulls_and_polls_batched(self):
         hub = Observability()
-        hub.tasks_pulled(64)
-        hub.flag_polled(4)
-        hub.flag_polled(0)  # no-op batch
+        hub.on_batch(FakeSim(), 64, 4)
+        hub.on_batch(FakeSim(), 0, 0)  # a yield at a batch boundary
         assert hub.m_task_pulls.total == 64
         assert hub.m_flag_polls.total == 4
 
 
 class TestInvocationLifecycle:
     def test_temporal_story_produces_spans_and_metrics(self):
-        t = [0.0]
-        hub = Observability(clock=lambda: t[0])
+        # the hub's own clock is never read: hooks stamp with the sim
+        hub = Observability(clock=lambda: -1.0)
+        sim = FakeSim()
         inv = FakeInv()
-        hub.inv_arrived(inv)
-        t[0] = 5.0
-        hub.inv_scheduled(inv, resumed=False)
-        t[0] = 50.0
-        hub.inv_preempt_requested(inv, "temporal", 15)
-        t[0] = 60.0
-        hub.inv_drained(inv, 10.0)
-        t[0] = 70.0
-        hub.inv_scheduled(inv, resumed=True)
-        t[0] = 200.0
-        hub.inv_finished(inv)
+        hub.on_arrived(sim, inv)
+        sim.now = 5.0
+        hub.on_scheduled(sim, inv, False)
+        sim.now = 50.0
+        hub.on_preempt_requested(sim, inv, "temporal", 15)
+        sim.now = 60.0
+        hub.on_drained(sim, inv, 10.0)
+        sim.now = 70.0
+        hub.on_scheduled(sim, inv, True)
+        sim.now = 200.0
+        hub.on_finished(sim, inv)
 
         assert hub.m_preempt_req.value(kind="temporal") == 1
         assert hub.m_preempt_done.value(kind="temporal") == 1
@@ -99,12 +106,13 @@ class TestInvocationLifecycle:
 
     def test_spatial_story(self):
         hub = Observability()
+        sim = FakeSim()
         inv = FakeInv()
-        hub.inv_arrived(inv)
-        hub.inv_scheduled(inv, resumed=False)
-        hub.inv_preempt_requested(inv, "spatial", 5)
-        hub.inv_topped_up(inv)
-        hub.inv_finished(inv)
+        hub.on_arrived(sim, inv)
+        hub.on_scheduled(sim, inv, False)
+        hub.on_preempt_requested(sim, inv, "spatial", 5)
+        hub.on_topped_up(sim, inv)
+        hub.on_finished(sim, inv)
         assert hub.m_preempt_done.value(kind="spatial") == 1
         assert hub.m_relaunches.value(reason="top_up") == 1
         assert len(hub.tracer.spans_named("spatial_yield")) == 1
@@ -112,10 +120,11 @@ class TestInvocationLifecycle:
 
     def test_finalize_closes_leftover_spans(self):
         hub = Observability()
-        hub.inv_arrived(FakeInv())
+        hub.on_arrived(FakeSim(3.0), FakeInv())
         assert hub.tracer.open_spans()
-        hub.finalize()
+        hub.finalize(7.0)
         assert not hub.tracer.open_spans()
+        assert {s.end_us for s in hub.tracer.spans} == {7.0}
 
     def test_bind_clock_rebinds_tracer(self):
         hub = Observability()
@@ -123,46 +132,21 @@ class TestInvocationLifecycle:
         assert hub.tracer.now == 42.0
 
 
-class TestNullRecorder:
-    def test_disabled_and_inert(self):
-        null = NullObservability()
-        assert null.enabled is False
-        inv = FakeInv()
-        null.sim_event("x")
-        null.kernel_launched("k")
-        null.sm_admitted(0, 1)
-        null.tasks_pulled(10)
-        null.flag_polled()
-        null.inv_arrived(inv)
-        null.inv_scheduled(inv, resumed=False)
-        null.inv_preempt_requested(inv, "temporal", 15)
-        null.inv_drained(inv, 5.0)
-        null.inv_topped_up(inv)
-        null.inv_finished(inv)
-        null.queue_depth("hpf", 3)
-        null.bind_clock(lambda: 1.0)
-        null.finalize()
-        assert null.m_sim_events.total == 0
-        assert len(null.tracer) == 0
-
-    def test_singleton_is_shared_and_disabled(self):
-        assert isinstance(NULL_OBS, NullObservability)
-        assert not NULL_OBS.enabled
-
-
 class TestGlobalHub:
     def test_install_and_uninstall(self):
-        assert get_global() is None
-        hub = Observability()
-        assert install_global(hub) is hub
-        assert get_global() is hub
-        uninstall_global()
-        assert get_global() is None
+        assert window() == ()
+        with observed() as hub:
+            assert window() == (hub,)
+            assert Simulator().bus.subscribers == [hub]
+        assert window() == ()
+        assert Simulator().bus.subscribers == []
 
     def test_observed_context_manager(self):
         with observed() as hub:
-            assert get_global() is hub
-        assert get_global() is None
+            sim = Simulator()
+            sim.schedule(1.0, lambda: None, label="x")
+            sim.run()
+        assert hub.m_sim_events.value(kind="x") == 1
 
     def test_observed_accepts_existing_hub(self):
         mine = Observability()
@@ -173,4 +157,28 @@ class TestGlobalHub:
         with pytest.raises(RuntimeError):
             with observed():
                 raise RuntimeError("boom")
-        assert get_global() is None
+        assert window() == ()
+
+    def test_nested_windows_restore_the_outer_one(self):
+        with observed() as outer:
+            with observed() as inner:
+                both = Simulator()
+            after = Simulator()
+            assert window() == (outer,)
+        assert both.bus.subscribers == [outer, inner]
+        assert after.bus.subscribers == [outer]
+        assert window() == ()
+
+    def test_shared_hub_stamps_with_the_firing_simulator(self):
+        """Two simulators on one hub: each record carries the time of
+        the simulator that fired it, whichever was built last."""
+        with observed() as hub:
+            early, late = Simulator(), Simulator()
+        late.clock.advance_to(500.0)
+        early.schedule(10.0, lambda: None)
+        early.run()
+        late.bus.on_hw_queue[0](3)
+        stamps = [(c.name, c.at_us) for c in hub.tracer.counters]
+        assert stamps == [("hw_queue_depth", 500.0)]
+        early.bus.on_hw_queue[0](1)
+        assert hub.tracer.counters[-1].at_us == 10.0

@@ -199,3 +199,20 @@ class TestObservability:
         text = hub.metrics.render_prometheus()
         assert 'flep_serving_requests_total{tenant="interactive",outcome="completed"} 1' in text
         assert "flep_serving_goodput_rps" in text
+
+    @pytest.mark.parametrize("mode", ["mps", "flep-spatial"])
+    def test_device_metrics_recorded_in_every_mode(self, suite, mode):
+        """The hub reaches the backend's simulator whichever backend
+        serves: events, CTA admissions and launches are all counted."""
+        server = ServingSystem(
+            two_tenants(), ServingConfig(mode=mode, seed=7),
+            device=suite.device, suite=suite, observability=True,
+        )
+        server.submit_at(0.0, "batch", "MM", "small")
+        server.submit_at(50.0, "interactive", "SPMV", "trivial")
+        server.run()
+        hub = server.obs
+        assert server.sim.bus.find(type(hub)) is hub
+        assert hub.m_sim_events.total > 0
+        assert hub.m_cta_admissions.total > 0
+        assert hub.m_launches.total >= 2

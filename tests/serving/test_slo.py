@@ -184,7 +184,7 @@ class TestObsMirror:
         assert "flep_serving_latency_us" in text
 
     def test_no_hub_records_nothing_but_still_reports(self):
-        tracker = SLOTracker(tenants())   # NULL_OBS path
+        tracker = SLOTracker(tenants())   # no hub
         tracker.open_request(1, "q", 0.0, "SPMV", "small", 0.0)
         tracker.mark_completed(1, 100.0)
         assert tracker.report(1e6).tenant("q").completed == 1

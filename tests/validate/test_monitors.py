@@ -19,8 +19,10 @@ from repro.gpu.kernel import (
     TaskModel,
     TaskPool,
 )
+from repro.obs.bus import SimHook
 from repro.runtime.engine import RuntimeConfig
 from repro.validate import (
+    Monitor,
     MonitorSet,
     MonotonicTimeMonitor,
     ResourceBudgetMonitor,
@@ -35,37 +37,101 @@ def light(name="k", task_us=10.0, threads=64):
     return KernelImage(name, ResourceUsage(threads, 8, 0), TaskModel(task_us))
 
 
+class _Labels(SimHook):
+    """A plain bus subscriber recording event labels."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_event(self, ev):
+        self.seen.append(ev.label)
+
+
+class _Counting(Monitor):
+    name = "counting"
+
+    def __init__(self):
+        self.events = 0
+
+    def on_event(self, ev):
+        self.events += 1
+
+
 class TestMonitorSet:
     def test_install_chains_previous_trace_hook(self, sim):
         gpu = SimulatedGPU(sim, small_test_gpu())
-        seen = []
-        sim.set_trace(lambda ev: seen.append(ev.label))
+        labels = _Labels()
+        sim.bus.subscribe(labels)
         monitors = install_monitors(gpu)
         gpu.launch(light(), LaunchConfig.original(2))
         sim.run()
         monitors.finalize()
-        assert seen  # the pre-existing hook still fires under monitoring
+        # the pre-existing subscriber still fires under monitoring
+        assert labels.seen
 
     def test_uninstall_restores_previous_hook(self, sim):
         gpu = SimulatedGPU(sim, small_test_gpu())
-        previous = lambda ev: None  # noqa: E731
-        sim.set_trace(previous)
+        labels = _Labels()
+        sim.bus.subscribe(labels)
         install_monitors(gpu).uninstall()
-        assert sim._trace is previous
+        assert sim.bus.subscribers == [labels]
+        assert sim.bus.on_event == (labels.on_event,)
 
     def test_context_manager_finalizes_and_uninstalls(self, sim):
         gpu = SimulatedGPU(sim, small_test_gpu())
         with install_monitors(gpu):
             gpu.launch(light(), LaunchConfig.original(2))
             sim.run()
-        assert sim._trace is None
+        assert sim.bus.subscribers == []
+        assert not sim.bus.on_event
 
     def test_unmonitored_sim_has_no_trace_hook(self, sim):
         """Zero-cost contract: nothing is installed by default."""
         gpu = SimulatedGPU(sim, small_test_gpu())
         gpu.launch(light(), LaunchConfig.original(2))
         sim.run()
-        assert sim._trace is None
+        assert sim.bus.subscribers == []
+        assert not sim.bus.on_event
+
+    def test_monitors_are_called_directly(self, sim):
+        """No call layer between the event loop and a monitor."""
+        gpu = SimulatedGPU(sim, small_test_gpu())
+        monitors = install_monitors(gpu)
+        per_event = [
+            m.on_event for m in monitors
+            if type(m).on_event is not SimHook.on_event
+        ]
+        assert sim.bus.on_event == tuple(per_event)
+
+    @pytest.mark.parametrize("first_out", ["a", "b"])
+    def test_sets_uninstall_independently_in_any_order(self, sim, first_out):
+        a, b = _Counting(), _Counting()
+        sets = {
+            "a": MonitorSet(sim, [a]).install(),
+            "b": MonitorSet(sim, [b]).install(),
+        }
+        sets[first_out].uninstall()
+        for i in range(5):
+            sim.schedule(float(i), lambda: None)
+        sim.run()
+        kept = b if first_out == "a" else a
+        gone = a if first_out == "a" else b
+        assert (kept.events, gone.events) == (5, 0)
+        sets["b" if first_out == "a" else "a"].uninstall()
+        assert sim.bus.subscribers == []
+
+    def test_install_from_a_callback_takes_effect_at_the_next_event(
+        self, sim
+    ):
+        counting = _Counting()
+        sim.schedule(
+            1.0, lambda: MonitorSet(sim, [counting]).install(), label="in"
+        )
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule(t, lambda: None)
+        sim.run()
+        # the installing event itself was already firing
+        assert counting.events == 3
 
     def test_install_monitors_rejects_unknown_target(self):
         with pytest.raises(ValidationError):
