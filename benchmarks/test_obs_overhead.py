@@ -156,7 +156,7 @@ def test_installed_profiler_overhead_under_5_percent(benchmark):
     # time each hook as the bus calls it (bound to its simulator)
     sim = Simulator()
     sim.bus.subscribe(SimProfiler())
-    ev = sim.schedule_event(1.0, lambda: None, "k/ctx0/batch")
+    ev = sim.schedule_at(1.0, lambda: None, "k/ctx0/batch")
     (on_event,) = sim.bus.on_event
     (on_batch,) = sim.bus.on_batch
     (on_sm_admit,) = sim.bus.on_sm_admit

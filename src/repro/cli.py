@@ -390,6 +390,13 @@ def _cmd_bench(args) -> int:
         names = ", ".join(r["scenario"] for r in cmp.drifts)
         print(f"schedule-hash drift in: {names}", file=sys.stderr)
         return 3
+    if args.fail_on_drift and cmp.unchecked:
+        # a gate that compared no hash has checked nothing
+        names = ", ".join(
+            f"{r['scenario']} ({r['status']})" for r in cmp.unchecked
+        )
+        print(f"schedule hash not checked for: {names}", file=sys.stderr)
+        return 3
     if not cmp.ok and not args.warn_only:
         return 3
     return 0
@@ -532,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--fail-on-drift", action="store_true",
                          help="exit 3 when any scenario's schedule_hash "
                               "differs from the baseline's (a kernel-level "
-                              "timeline change), even with --warn-only")
+                              "timeline change), has no baseline hash, or "
+                              "is in only one report, even with --warn-only")
     bench_p.add_argument("--json", action="store_true",
                          help="print the report as JSON instead of a table")
     bench_p.set_defaults(fn=_cmd_bench)

@@ -370,12 +370,6 @@ class FleetNode:
     # ------------------------------------------------------------------
     # load introspection (read-only; the routing-policy contract)
     # ------------------------------------------------------------------
-    def queued_us(self) -> float:
-        return sum(r.predicted_us for r in self.queue)
-
-    def inflight_us(self) -> float:
-        return sum(r.predicted_us for r in self.inflight.values())
-
     def held_us(self) -> float:
         return sum(r.predicted_us for r in self.held.values())
 

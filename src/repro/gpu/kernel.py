@@ -307,7 +307,7 @@ def guided_batch(remaining: int, contexts: int, amortize_l: int = 1) -> int:
     or fewer stay task-granular, as real CTAs pull one task at a time.
 
     This is the only implementation of the claim size: the per-batch
-    loop (:meth:`repro.gpu.grid.Grid.next_batch_size`) and the macro
+    loop (:meth:`repro.gpu.cta.CTAContext._begin_next_batch`) and the macro
     replay (:mod:`repro.gpu.macro`) both call it (DESIGN.md §12).
     """
     if remaining <= 0:

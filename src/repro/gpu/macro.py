@@ -166,7 +166,7 @@ class MacroCohort:
         for g in cohort.grids:
             # each grid claims with its own guided width (the larger of
             # its expected concurrency and the pool-wide worker count,
-            # as in Grid.next_batch_size), constant while the cohort
+            # as in CTAContext._begin_next_batch), constant while the cohort
             # lives: a join that would change it dissolves the cohort
             width = g._parallel_width
             if workers > width:
@@ -308,7 +308,7 @@ class MacroCohort:
             while heap:
                 rec = heapq.heappop(heap)
                 ctx = rec[2]
-                ctx._completion = sim.schedule_event(
+                ctx._completion = sim.schedule_at(
                     rec[0], self._make_final(rec), ctx._batch_label
                 )
 
@@ -329,7 +329,7 @@ class MacroCohort:
             self._due = steps[self._idx][0]
         heap = self._heap
         if heap:
-            self._cont = self.sim.schedule_event(
+            self._cont = self.sim.schedule_at(
                 heap[0][0], self._continue, "macro-cont"
             )
 
@@ -463,7 +463,7 @@ class MacroCohort:
         sim = self.sim
         for _, t, ctx in pending:
             maybe_cancel(ctx._completion)
-            ctx._completion = sim.schedule_event(
+            ctx._completion = sim.schedule_at(
                 t if t > now else now,
                 ctx._on_batch_complete,
                 ctx._batch_label,

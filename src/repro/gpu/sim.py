@@ -22,7 +22,7 @@ from typing import Any, Callable, List, Optional
 from ..errors import SimulationError
 from ..obs.bus import SimBus
 from .clock import Clock
-from .events import Event, EventHandle
+from .events import Event
 
 _EVENT_NEW = Event.__new__
 
@@ -126,7 +126,7 @@ class Simulator:
         callback: Callable[[], Any],
         label: str = "",
         priority: int = 0,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback`` to run ``delay`` microseconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -140,28 +140,19 @@ class Simulator:
         callback: Callable[[], Any],
         label: str = "",
         priority: int = 0,
-    ) -> EventHandle:
-        """Schedule ``callback`` at absolute simulated time ``time``."""
-        return EventHandle(self.schedule_event(time, callback, label, priority))
-
-    def schedule_event(
-        self,
-        time: float,
-        callback: Callable[[], Any],
-        label: str = "",
-        priority: int = 0,
     ) -> Event:
-        """Fast-path variant of :meth:`schedule_at` returning the raw
-        :class:`Event` (no handle wrapper). Same validation, ordering and
-        accounting; internal hot callers (the CTA batch loop) use this to
-        skip one allocation per scheduled event."""
+        """Schedule ``callback`` at absolute simulated time ``time`` and
+        return its :class:`Event` (cancel it with ``Event.cancel``).
+
+        This runs once per scheduled event, the CTA batch loop included,
+        so it calls no other Python function: one frame per event."""
         if time < self.clock._now:
             raise SimulationError(
                 f"cannot schedule at {time} before now={self.now}"
             )
         seq = self._seq = self._seq + 1
-        # build the Event with direct slot stores — this allocator runs
-        # once per scheduled event, and the __init__ frame is pure cost
+        # build the Event with direct slot stores: an __init__ frame
+        # would double the frames per scheduled event
         ev = _EVENT_NEW(Event)
         ev.time = time
         ev.priority = priority
@@ -178,13 +169,6 @@ class Simulator:
         if depth > st.peak_pending:
             st.peak_pending = depth
         return ev
-
-    def call_soon(
-        self, callback: Callable[[], Any], label: str = "", priority: int = 0
-    ) -> EventHandle:
-        """Schedule ``callback`` at the current time (after pending same-time
-        events of lower sequence)."""
-        return self.schedule_at(self.clock._now, callback, label, priority)
 
     # ------------------------------------------------------------------
     # execution

@@ -472,6 +472,18 @@ class CompareResult:
         return [r for r in self.rows if r["status"] == "drift"]
 
     @property
+    def unchecked(self) -> List[Dict[str, object]]:
+        """Rows whose schedule identity could not be checked: a baseline
+        row without a ``schedule_hash`` (``no-baseline``), or a scenario
+        present in only one of the two reports. A drift gate that passes
+        on these has compared nothing."""
+        return [
+            r for r in self.rows
+            if r["status"] in ("missing-in-new", "missing-in-baseline")
+            or (r["metric"] == "schedule_hash" and r["status"] == "no-baseline")
+        ]
+
+    @property
     def ok(self) -> bool:
         """True when no gated metric regressed."""
         return not self.regressions
@@ -516,7 +528,9 @@ def compare_reports(
     the row ``regression``. Identity is gated on ``schedule_hash``: a
     mismatch means the kernel-level timeline changed (``drift``), which
     the identity contract forbids across engine rework. A baseline
-    without hashes (a ``flep-bench/1`` file) yields ``no-baseline``.
+    without hashes (a ``flep-bench/1`` file) yields ``no-baseline``, and
+    a scenario only one report has yields ``missing-in-new`` or
+    ``missing-in-baseline``; :attr:`CompareResult.unchecked` lists them.
     The ``events`` count is engine-internal — macro fast-forward
     legitimately collapses it — so a mismatch is reported as the
     informational ``changed``, never ``drift``; when the counts differ,
@@ -582,5 +596,12 @@ def compare_reports(
                 "scenario": name, "metric": metric,
                 "old": old_v, "new": new_v,
                 "delta": delta, "status": status,
+            })
+    old_names = {s["name"] for s in old.scenarios}
+    for new_row in new.scenarios:
+        if new_row["name"] not in old_names:
+            result.rows.append({
+                "scenario": new_row["name"], "metric": "-", "old": 0.0,
+                "new": 0.0, "delta": None, "status": "missing-in-baseline",
             })
     return result

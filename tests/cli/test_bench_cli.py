@@ -124,6 +124,23 @@ class TestBenchCommand:
                      "--fail-on-drift"]) == 3
         assert "schedule-hash drift" in capsys.readouterr().err
 
+    def test_fail_on_drift_fails_on_missing_scenario(
+        self, tiny_scenarios, tmp_path, capsys
+    ):
+        new = tmp_path / "new.json"
+        empty = tmp_path / "empty.json"
+        assert main(["bench", "--budget", "small", "-o", str(new)]) == 0
+        data = json.loads(new.read_text())
+        data["scenarios"] = []
+        empty.write_text(json.dumps(data))
+        # a scenario the baseline lacks, and one the new run lacks
+        assert main(["bench", "--compare", str(empty), "--against",
+                     str(new), "--fail-on-drift"]) == 3
+        assert "tiny (missing-in-baseline)" in capsys.readouterr().err
+        assert main(["bench", "--compare", str(new), "--against",
+                     str(empty), "--fail-on-drift"]) == 3
+        assert "tiny (missing-in-new)" in capsys.readouterr().err
+
     def test_fail_on_drift_passes_on_identical_hashes(
         self, tiny_scenarios, tmp_path
     ):
@@ -149,9 +166,10 @@ class TestBenchCommand:
                      str(fewer), "--warn-only", "--fail-on-drift"]) == 0
 
     def test_v1_baseline_compares_without_drift(
-        self, tiny_scenarios, tmp_path
+        self, tiny_scenarios, tmp_path, capsys
     ):
-        """CI's seed baseline predates hashes; it must not hard-fail."""
+        """A v1 baseline predates hashes: it still compares, without
+        drift, but the drift gate refuses it: it can check nothing."""
         new = tmp_path / "new.json"
         v1 = tmp_path / "v1.json"
         assert main(["bench", "--budget", "small", "-o", str(new)]) == 0
@@ -161,7 +179,10 @@ class TestBenchCommand:
             del s["schedule_hash"]
         v1.write_text(json.dumps(data))
         assert main(["bench", "--compare", str(v1), "--against",
-                     str(new), "--warn-only", "--fail-on-drift"]) == 0
+                     str(new), "--warn-only"]) == 0
+        assert main(["bench", "--compare", str(v1), "--against",
+                     str(new), "--warn-only", "--fail-on-drift"]) == 3
+        assert "tiny (no-baseline)" in capsys.readouterr().err
 
     def test_scenario_filter(self, tiny_scenarios, tmp_path, capsys):
         out = tmp_path / "b.json"

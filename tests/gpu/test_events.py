@@ -1,6 +1,7 @@
 """Event-primitive unit tests: handles and lazy cancellation."""
 
-from repro.gpu.events import Event, EventHandle, maybe_cancel
+from repro.gpu.events import Event, maybe_cancel
+from repro.gpu.sim import Simulator
 
 
 def make(time, seq=0, priority=0, label=""):
@@ -18,24 +19,32 @@ class TestCancellation:
 
 
 class TestHandle:
+    """The :class:`Event` that scheduling returns is the caller's handle:
+    there is no wrapper around it."""
+
     def test_handle_exposes_event_fields(self):
-        ev = make(4.0, label="poll")
-        handle = EventHandle(ev)
-        assert handle.time == 4.0
-        assert handle.label == "poll"
-        assert not handle.cancelled
+        sim = Simulator()
+        ev = sim.schedule_at(4.0, lambda: None, "poll")
+        assert type(ev) is Event
+        assert ev.time == 4.0
+        assert ev.label == "poll"
+        assert not ev.cancelled
 
     def test_handle_cancel_reaches_event(self):
-        ev = make(4.0)
-        handle = EventHandle(ev)
-        handle.cancel()
+        sim = Simulator()
+        fired = []
+        ev = sim.schedule(4.0, lambda: fired.append(1))
+        assert sim.pending() == 1
+        ev.cancel()
         assert ev.cancelled
-        assert handle.cancelled
+        assert sim.pending() == 0
+        sim.run()
+        assert fired == []
 
     def test_maybe_cancel_handles_none(self):
         maybe_cancel(None)  # must not raise
 
     def test_maybe_cancel_cancels_real_handle(self):
-        handle = EventHandle(make(1.0))
-        maybe_cancel(handle)
-        assert handle.cancelled
+        ev = make(1.0)
+        maybe_cancel(ev)
+        assert ev.cancelled

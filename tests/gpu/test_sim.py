@@ -48,11 +48,11 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_call_soon_runs_at_current_time(self, sim):
+    def test_zero_delay_runs_at_current_time(self, sim):
         order = []
 
         def outer():
-            sim.call_soon(lambda: order.append(("soon", sim.now)))
+            sim.schedule(0.0, lambda: order.append(("soon", sim.now)))
             order.append(("outer", sim.now))
 
         sim.schedule(7.0, outer)

@@ -252,6 +252,24 @@ class TestCompare:
         assert "missing-in-new" in statuses
         assert cmp.ok  # informational, not a perf regression
 
+    def test_hashless_or_missing_scenarios_are_unchecked(self):
+        old = _report()
+        assert compare_reports(old, old).unchecked == []
+        data = old.as_dict()
+        del data["scenarios"][0]["schedule_hash"]
+        cmp = compare_reports(BenchReport.from_dict(data), old)
+        assert [(r["scenario"], r["status"]) for r in cmp.unchecked] == [
+            ("s1", "no-baseline")
+        ]
+        assert cmp.drifts == []
+        data = old.as_dict()
+        data["scenarios"] = data["scenarios"][:1]
+        short = BenchReport.from_dict(data)
+        assert [r["status"] for r in compare_reports(old, short).unchecked] \
+            == ["missing-in-new"]
+        assert [r["status"] for r in compare_reports(short, old).unchecked] \
+            == ["missing-in-baseline"]
+
     def test_zero_baseline_is_not_divided_by(self):
         old = _report()
         data = old.as_dict()
